@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.io import wavfile
@@ -93,11 +93,12 @@ class MixtureProblem:
 def mix(
     sources: Sequence[Waveform],
     mixing: MixingModel,
-    noise_seed: Optional[int] = None,
+    noise_seed: int = 0,
 ) -> Waveform:
     """Combine sources under the mixing model, optionally adding Gaussian noise.
 
-    With noise_variance = 0 the output is the exact sample-wise sum.
+    With noise_variance = 0 the output is the exact sample-wise sum. The noise
+    is drawn from noise_seed, so equal arguments give equal mixtures.
     """
     if len(sources) != mixing.sources:
         raise ConfigurationError(

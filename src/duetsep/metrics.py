@@ -42,8 +42,24 @@ def _check_pair(estimate: np.ndarray, reference: np.ndarray) -> None:
         raise DomainError("reference is identically zero")
 
 
+def _capped_db(num: float, den: float) -> float:
+    """10 log10(num / den) clamped to [-SDR_CAP_DB, SDR_CAP_DB].
+
+    A zero numerator reads as the floor without a log10(0) warning. For
+    SI-SDR that is an estimate orthogonal to the reference, and also an
+    all-zero estimate, whose 0 / 0 is not the perfect match that den == 0
+    alone would suggest.
+    """
+    cap = 10 ** (SDR_CAP_DB / 10)
+    if num * cap <= den:
+        return -SDR_CAP_DB
+    if num >= den * cap:
+        return SDR_CAP_DB
+    return float(10 * np.log10(num / den))
+
+
 def si_sdr(estimate, reference) -> float:
-    """Scale-invariant SDR in dB, capped at +100 when the residual vanishes."""
+    """Scale-invariant SDR in dB, clamped to +-100; a silent estimate reads -100."""
     est = _as_samples(estimate)
     ref = _as_samples(reference)
     _check_pair(est, ref)
@@ -51,21 +67,17 @@ def si_sdr(estimate, reference) -> float:
     target = alpha * ref
     num = np.dot(target, target)
     den = np.sum((target - est) ** 2)
-    if den <= 0 or num / den >= 10 ** (SDR_CAP_DB / 10):
-        return SDR_CAP_DB
-    return min(SDR_CAP_DB, float(10 * np.log10(num / den)))
+    return _capped_db(num, den)
 
 
 def sdr(estimate, reference) -> float:
-    """Plain SDR in dB (no scale projection), same +100 dB cap."""
+    """Plain SDR in dB (no scale projection), same clamp; a silent estimate reads 0."""
     est = _as_samples(estimate)
     ref = _as_samples(reference)
     _check_pair(est, ref)
     num = np.dot(ref, ref)
     den = np.sum((ref - est) ** 2)
-    if den <= 0 or num / den >= 10 ** (SDR_CAP_DB / 10):
-        return SDR_CAP_DB
-    return min(SDR_CAP_DB, float(10 * np.log10(num / den)))
+    return _capped_db(num, den)
 
 
 @dataclass(frozen=True)

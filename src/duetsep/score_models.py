@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core_signal import Waveform, read_wav
 from .errors import ConfigurationError, DomainError, ShapeError
@@ -82,7 +81,15 @@ def gaussian_score(prior: GaussianPrior, x: np.ndarray, sigma: float) -> np.ndar
 
 @dataclass(frozen=True)
 class MixturePrior:
-    """Gaussian mixture with isotropic components; doubles as a KDE prior."""
+    """Gaussian mixture with isotropic components; doubles as a KDE prior.
+
+    The parameters are stored as read-only views, and log w and |mu|^2 are
+    computed once here, so that a score call makes only the two (K, d) passes
+    of its matmuls. A float64 array passed in is not copied: the prior shares
+    its memory with the caller's array, which stays writable. The caller must
+    not edit that array after the prior is built; nothing detects it, and the
+    cached |mu|^2 would no longer match the means.
+    """
 
     weights: np.ndarray
     means: np.ndarray  # (K, d)
@@ -100,9 +107,12 @@ class MixturePrior:
             raise ConfigurationError("weights and variances must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ConfigurationError("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "variances", v)
+        for name, arr in (("weights", w), ("means", m), ("variances", v)):
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "_log_weights", np.log(w))
+        object.__setattr__(self, "_means_sq", np.einsum("kd,kd->k", m, m))
 
     @property
     def native_length(self) -> Optional[int]:
@@ -112,30 +122,49 @@ class MixturePrior:
         """log w_k + log N(x; mu_k, (v_k + sigma^2) I), x shaped (..., d).
 
         Squared distances expand as |x|^2 - 2 x.mu + |mu|^2 so the heavy part
-        is a single matmul rather than a (K, d) difference tensor.
+        is a single matmul rather than a (K, d) difference tensor. Returns a
+        fresh array that the caller may overwrite.
         """
         v = self.variances + sigma**2  # (K,)
         d = self.means.shape[1]
-        x_sq = np.sum(x * x, axis=-1)  # (...,)
-        mu_sq = np.sum(self.means * self.means, axis=1)  # (K,)
-        cross = x @ self.means.T  # (..., K)
-        sq = np.maximum(x_sq[..., None] - 2.0 * cross + mu_sq, 0.0)
-        return (
-            np.log(self.weights)
-            - 0.5 * d * np.log(2 * np.pi * v)
-            - 0.5 * sq / v
-        )
+        x_sq = np.einsum("...d,...d->...", x, x)  # (...,)
+        ll = x @ self.means.T  # (..., K), reused in place below
+        ll *= -2.0
+        ll += x_sq[..., None]
+        ll += self._means_sq
+        np.maximum(ll, 0.0, out=ll)
+        ll *= 0.5
+        ll /= v
+        const = self._log_weights - 0.5 * d * np.log(2 * np.pi * v)
+        return np.subtract(const, ll, out=ll)
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         return mixture_score(self, x, sigma)
 
     def log_density(self, x: np.ndarray, sigma: float) -> float:
+        """log p_sigma(x) for one vector x of shape (d,)."""
         x = np.asarray(x, dtype=np.float64)
-        return float(logsumexp(self._component_logliks(x, sigma)))
+        if x.ndim != 1:
+            raise ShapeError("log_density takes one vector of shape (d,)")
+        ll = self._component_logliks(x, sigma)
+        top = _exp_shifted(ll)
+        return float(top[0] + np.log(ll.sum()))
+
+
+def _exp_shifted(ll: np.ndarray) -> np.ndarray:
+    """Subtract each row's max from ll and exponentiate, in place.
+
+    The max-subtraction keeps the largest term at exp(0) = 1, so the row sum
+    neither overflows nor underflows to zero. Returns the row maxima.
+    """
+    top = ll.max(axis=-1, keepdims=True)
+    ll -= top
+    np.exp(ll, out=ll)
+    return top
 
 
 def mixture_score(prior: MixturePrior, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Exact score of the smoothed mixture, log-sum-exp stabilized.
+    """Exact score of the smoothed mixture, softmax stabilized by the row max.
 
     Accepts x of shape (d,) or a batch (..., d); the score is computed
     independently per row.
@@ -148,11 +177,14 @@ def mixture_score(prior: MixturePrior, x: np.ndarray, sigma: float) -> np.ndarra
             f"x has length {x.shape[-1]}, prior expects {prior.means.shape[1]}"
         )
     v = prior.variances + sigma**2  # (K,)
-    ll = prior._component_logliks(x, sigma)  # (..., K)
-    resp = np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))  # (..., K)
-    rv = resp / v  # (..., K)
+    rv = prior._component_logliks(x, sigma)  # (..., K), turned into r_k / v_k
+    _exp_shifted(rv)
+    rv /= rv.sum(axis=-1, keepdims=True)
+    rv /= v
     # score = -sum_k r_k (x - mu_k) / v_k, without forming the (K, d) tensor
-    return -(x * np.sum(rv, axis=-1)[..., None] - rv @ prior.means)
+    out = rv @ prior.means
+    out -= x * rv.sum(axis=-1)[..., None]
+    return out
 
 
 def default_kde_bandwidth(exemplars: np.ndarray) -> float:
@@ -251,8 +283,13 @@ def load_exemplar_bank(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != _BANK_MAGIC:
             raise ConfigurationError(f"{p} is not an exemplar bank file")
-        count, length = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ConfigurationError(f"{p}: exemplar bank header cut short")
+        count, length = struct.unpack("<II", header)
         data = np.frombuffer(fh.read(count * length * 4), dtype=np.float32)
-    if data.size != count * length:
-        raise ConfigurationError(f"{p}: truncated exemplar bank")
+        if data.size != count * length:
+            raise ConfigurationError(f"{p}: truncated exemplar bank")
+        if fh.read(1):
+            raise ConfigurationError(f"{p}: trailing bytes after the exemplar bank")
     return data.astype(np.float64).reshape(count, length)

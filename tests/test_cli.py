@@ -108,6 +108,15 @@ class TestSeparateCommand:
         ])
         assert code == 2
 
+    def test_malformed_bank_exit_code(self, scenario_dir, tmp_path):
+        bank = tmp_path / "bank.bin"
+        bank.write_bytes(b"XBNK\x02\x00")  # header cut short
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav",
+            "--bank", bank, "--out", tmp_path / "sep",
+        ])
+        assert code == 2
+
     def test_missing_mixture_exit_code(self, tmp_path):
         code = run([
             "separate", "--mixture", tmp_path / "nope.wav",

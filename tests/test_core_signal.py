@@ -64,6 +64,7 @@ class TestMix:
         c = mix([s, s], m, noise_seed=8)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+        np.testing.assert_array_equal(mix([s, s], m).samples, mix([s, s], m).samples)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):

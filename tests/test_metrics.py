@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,13 @@ class TestSiSdr:
         est = ref + 0.5 * rng.normal(size=64)
         assert abs(si_sdr(scale * est, ref) - si_sdr(est, ref)) < 1e-9
 
+    def test_degenerate_estimates_floor(self):
+        ref = np.array([1.0, 0.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert si_sdr(np.zeros(3), ref) == -SDR_CAP_DB
+            assert si_sdr(np.array([0.0, 5.0, 0.0]), ref) == -SDR_CAP_DB
+
     def test_zero_reference_rejected(self):
         with pytest.raises(DomainError):
             si_sdr(np.ones(4), np.zeros(4))
@@ -71,6 +80,13 @@ class TestSdr:
     def test_perfect_capped(self):
         x = np.ones(8)
         assert sdr(x, x) == SDR_CAP_DB
+
+    def test_degenerate_estimates_floor(self):
+        ref = np.array([1.0, 0.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sdr(np.zeros(3), ref) == 0.0
+            assert sdr(np.array([0.0, 1e6, 0.0]), ref) == -SDR_CAP_DB
 
     def test_si_sdr_dominates_under_scale_error(self):
         """With estimate = beta*ref + orthogonal noise, the scale projection

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from duetsep import (
     GaussianPrior,
@@ -16,6 +17,19 @@ from duetsep import (
 )
 from duetsep.errors import ConfigurationError, DomainError, ShapeError
 from duetsep.score_models import default_kde_bandwidth
+
+
+def brute_force_score(prior, x, sigma):
+    """Reference score from the (..., K, d) difference tensor and logsumexp."""
+    v = prior.variances + sigma**2
+    diff = x[..., None, :] - prior.means  # (..., K, d)
+    ll = (
+        np.log(prior.weights)
+        - 0.5 * prior.means.shape[1] * np.log(2 * np.pi * v)
+        - 0.5 * np.sum(diff * diff, axis=-1) / v
+    )
+    resp = np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))
+    return -np.sum((resp / v)[..., None] * diff, axis=-2)
 
 
 def finite_diff(log_density, x, sigma, eps=1e-5):
@@ -101,6 +115,51 @@ class TestMixtureScore:
     def test_empty_rejected(self):
         with pytest.raises((ConfigurationError, ShapeError)):
             MixturePrior(weights=np.array([]), means=np.zeros((0, 3)), variances=np.array([]))
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 2.0])
+    @pytest.mark.parametrize("shape", [(8,), (4, 8), (2, 3, 8)])
+    def test_matches_brute_force(self, sigma, shape):
+        rng = np.random.default_rng(9)
+        p = self.random_prior(rng)
+        for x in (rng.normal(size=shape), rng.normal(size=shape) + 1e3):
+            np.testing.assert_allclose(
+                mixture_score(p, x, sigma), brute_force_score(p, x, sigma), rtol=1e-10
+            )
+
+    def test_one_hot_matches_brute_force(self):
+        rng = np.random.default_rng(10)
+        p = self.random_prior(rng)
+        p = MixturePrior(p.weights, 30.0 * p.means, p.variances)
+        nearest = [2, 0, 4]
+        x = p.means[nearest] + 0.5 * rng.normal(size=(3, 8))
+        for sigma in (0.0, 1e-3):
+            ll = p._component_logliks(x, sigma)
+            # exp underflows to 0 for every component but the nearest
+            assert np.all(np.max(ll, axis=-1) - np.sort(ll, axis=-1)[:, -2] > 746)
+            want = brute_force_score(p, x, sigma)
+            np.testing.assert_allclose(mixture_score(p, x, sigma), want, rtol=1e-10)
+            v = p.variances[nearest, None] + sigma**2
+            np.testing.assert_allclose(want, -(x - p.means[nearest]) / v, rtol=1e-10)
+
+    def test_log_density_rejects_batch(self):
+        p = self.random_prior(np.random.default_rng(13))
+        with pytest.raises(ShapeError):
+            p.log_density(np.zeros((3, 8)), 0.2)
+
+    def test_parameters_read_only(self):
+        p = self.random_prior(np.random.default_rng(11))
+        with pytest.raises(ValueError):
+            p.means[0, 0] = 1.0
+        for arr in (p.weights, p.variances):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_cached_constants_match_recomputation(self):
+        p = self.random_prior(np.random.default_rng(12))
+        np.testing.assert_array_equal(p._log_weights, np.log(p.weights))
+        np.testing.assert_allclose(
+            p._means_sq, np.sum(p.means * p.means, axis=1), rtol=1e-14
+        )
 
 
 class TestKdePrior:
@@ -188,6 +247,22 @@ class TestBankIO:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"nope" + b"\x00" * 16)
+        with pytest.raises(ConfigurationError):
+            load_exemplar_bank(p)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"XBNK",
+            b"XBNK\x02\x00\x00",
+            b"XBNK" + bytes([2, 0, 0, 0, 3, 0, 0, 0]) + b"\x00" * 20,
+            b"XBNK" + bytes([2, 0, 0, 0, 3, 0, 0, 0]) + b"\x00" * 28,
+        ],
+        ids=["no-header", "short-header", "truncated", "trailing-bytes"],
+    )
+    def test_malformed_rejected(self, tmp_path, payload):
+        p = tmp_path / "bank.bin"
+        p.write_bytes(payload)
         with pytest.raises(ConfigurationError):
             load_exemplar_bank(p)
 
