@@ -3,7 +3,6 @@ auto-regressive overlapped-segment inpainting, verified at desk scale with
 closed-form score models and a synthetic duet benchmark."""
 
 from .core_signal import (
-    MixingKind,
     MixingModel,
     MixtureProblem,
     Waveform,
@@ -42,7 +41,6 @@ from .pipeline import (
 )
 from .posterior_sampler import (
     InpaintCondition,
-    InpaintMode,
     Integrator,
     SamplerConfig,
     apply_inpaint,
@@ -50,7 +48,7 @@ from .posterior_sampler import (
     sample_posterior,
     sample_prior,
 )
-from .schedule import NoiseSchedule, ScheduleKind, TimeGrid, make_grid, sigma_at
+from .schedule import NoiseSchedule, TimeGrid, make_grid, sigma_at
 from .score_models import (
     GaussianPrior,
     MixturePrior,

@@ -1,6 +1,7 @@
 """Desk-scale benchmark harness: renders a duet scenario, builds the KDE
 priors, runs every separation strategy (plus the NMF baseline), and reports
-SI-SDRi/SDRi and the identity-switch rate.
+SI-SDRi/SDRi and the identity-switch rate. `sweep` runs a (mode x overlap x
+seed) grid of these and aggregates it; it is the only experiment loop.
 
 The exemplar bank is sliced from full-length voice material for both singers,
 so the prior supports either voice in any segment. Which voice a sampled
@@ -11,12 +12,16 @@ switching failure the auto-regressive conditioning suppresses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass
+from itertools import repeat
+from multiprocessing import get_context
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core_signal import MixingModel, MixtureProblem, Waveform, mix
+from .errors import ConfigurationError, DomainError
 from .metrics import evaluate, identity_switch_rate
 from .nmf import separate_nmf
 from .pipeline import Mode, Selection, SeparationConfig, plan_segments, separate
@@ -33,7 +38,17 @@ from .synth_bench import (
     render_voice,
 )
 
-__all__ = ["BenchmarkCase", "BenchRow", "build_case", "run_mode", "run_nmf_baseline"]
+__all__ = [
+    "BenchmarkCase",
+    "BenchRow",
+    "SweepSpec",
+    "render_duet",
+    "build_case",
+    "run_mode",
+    "run_nmf_baseline",
+    "sweep",
+    "plot_data",
+]
 
 SWITCH_FRAME = 512
 
@@ -63,6 +78,19 @@ class BenchRow:
     switch_rate: float
 
 
+def render_duet(
+    kind: ScenarioKind, duration: float, seed: int, sample_rate: int = BENCH_RATE
+) -> Tuple[DuetScenario, List[Waveform], Waveform]:
+    """Render a scenario's two voices and their exact-sum mixture."""
+    scenario = make_scenario(kind, duration, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
+    voices = [
+        render_voice(spec, contour, sample_rate, duration, seed=int(rng.integers(2**31)))
+        for spec, contour in zip(scenario.singers, scenario.contours)
+    ]
+    return scenario, voices, mix(voices, MixingModel(sources=2))
+
+
 def build_case(
     seed: int,
     kind: ScenarioKind = ScenarioKind.CROSSING,
@@ -73,19 +101,8 @@ def build_case(
 ) -> BenchmarkCase:
     """Render one scenario and prepare the exemplar material."""
     stride = bank_stride or segment_length // 4
-    scenario = make_scenario(kind, duration, seed)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
-    v1 = render_voice(
-        scenario.singers[0], scenario.contours[0], sample_rate, duration,
-        seed=int(rng.integers(2**31)),
-    )
-    v2 = render_voice(
-        scenario.singers[1], scenario.contours[1], sample_rate, duration,
-        seed=int(rng.integers(2**31)),
-    )
-    mixing = MixingModel(sources=2)
-    mixture = mix([v1, v2], mixing)
-    problem = MixtureProblem(mixture, mixing)
+    scenario, (v1, v2), mixture = render_duet(kind, duration, seed, sample_rate)
+    problem = MixtureProblem(mixture, MixingModel(sources=2))
 
     # pad materials to the segment grid so slices line up with plan offsets
     plan = plan_segments(len(mixture), segment_length, 0.0)
@@ -203,3 +220,153 @@ def run_nmf_baseline(
         mean_sdri=report.mean_sdri,
         switch_rate=switch,
     )
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """A (mode x overlap x seed) grid; the defaults are the acceptance table's
+    modes and overlap over three seeds."""
+
+    modes: Sequence[str] = ("naive", "segmented", "ar", "ar-tf", "nmf")
+    overlaps: Sequence[float] = (0.75,)
+    seeds: Sequence[int] = (0, 1, 2)
+    scenario: str = "crossing"
+    duration: float = 4.0
+    segment: int = BENCH_SEGMENT
+    steps: int = 100
+    best_of_k: int = 3
+    out: str = "sweep_out"
+
+
+def _sweep_seed(spec: SweepSpec, seed: int) -> List[dict]:
+    """Every (mode, overlap) row of one seed, all on one rendered case. A row
+    that raises records the error and the sweep goes on."""
+    case = None
+    rows = []
+    for mode in spec.modes:
+        for overlap in spec.overlaps:
+            try:
+                if case is None:
+                    case = build_case(
+                        seed,
+                        kind=ScenarioKind(spec.scenario),
+                        duration=spec.duration,
+                        segment_length=spec.segment,
+                    )
+                if mode == "nmf":
+                    row = run_nmf_baseline(case, seed=seed)
+                else:
+                    row = run_mode(
+                        case,
+                        Mode(mode),
+                        overlap_ratio=overlap,
+                        steps=spec.steps,
+                        best_of_k=spec.best_of_k,
+                        seed=seed,
+                    )
+                si_sdri, sdri, switch = row.mean_si_sdri, row.mean_sdri, row.switch_rate
+                error = ""
+            except Exception as exc:  # record the failure, keep sweeping
+                si_sdri = sdri = switch = float("nan")
+                error = f"{type(exc).__name__}: {exc}"
+            rows.append(
+                {
+                    "mode": mode,
+                    "overlap": overlap,
+                    "seed": seed,
+                    "si_sdri": si_sdri,
+                    "sdri": sdri,
+                    "switch_rate": switch,
+                    "error": error,
+                }
+            )
+    return rows
+
+
+def _switch_sign_test(rows: List[dict], seeds: Sequence[int], overlap: float) -> dict:
+    """One-sided sign test that ar switches identity less often than naive,
+    paired by seed over the rows without an error."""
+    # imported here, not at module level: scipy.stats doubles the import time
+    # and peak memory of `import duetsep.bench`
+    from scipy.stats import binomtest
+
+    rate = {
+        (r["mode"], r["seed"]): r["switch_rate"]
+        for r in rows
+        if r["overlap"] == overlap and not r["error"]
+    }
+    pairs = [
+        (rate["ar", s], rate["naive", s])
+        for s in seeds
+        if ("ar", s) in rate and ("naive", s) in rate
+    ]
+    wins = sum(ar < naive for ar, naive in pairs)
+    losses = sum(ar > naive for ar, naive in pairs)
+    p = binomtest(wins, wins + losses, alternative="greater").pvalue if wins + losses else 1.0
+    return {"overlap": overlap, "wins": wins, "losses": losses, "p": float(p)}
+
+
+def sweep(spec: SweepSpec, workers: int = 1) -> dict:
+    """Run the (mode x overlap x seed) grid and aggregate mean +/- std per cell.
+
+    Each seed is one task: its case is rendered once and every (mode, overlap)
+    pair runs on it. Rows come out in (mode, overlap, seed) order whatever the
+    worker count. With both ar and naive in the grid the report also carries
+    the switch-rate sign test per overlap.
+    """
+    if not spec.modes or not spec.overlaps or not spec.seeds:
+        raise ConfigurationError("sweep grid must be nonempty")
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            per_seed = list(pool.map(_sweep_seed, repeat(spec), spec.seeds))
+    else:
+        per_seed = [_sweep_seed(spec, seed) for seed in spec.seeds]
+    n_pairs = len(spec.modes) * len(spec.overlaps)
+    rows = [seed_rows[i] for i in range(n_pairs) for seed_rows in per_seed]
+    cells = []
+    for mode in spec.modes:
+        for overlap in spec.overlaps:
+            vals = [
+                r
+                for r in rows
+                if r["mode"] == mode and r["overlap"] == overlap and not r["error"]
+            ]
+            si = [r["si_sdri"] for r in vals]
+            sd = [r["sdri"] for r in vals]
+            sw = [r["switch_rate"] for r in vals]
+            cells.append(
+                {
+                    "mode": mode,
+                    "overlap": overlap,
+                    "n": len(vals),
+                    "si_sdri_mean": float(np.mean(si)) if si else None,
+                    "si_sdri_std": float(np.std(si, ddof=1)) if len(si) > 1 else None,
+                    "sdri_mean": float(np.mean(sd)) if sd else None,
+                    "sdri_std": float(np.std(sd, ddof=1)) if len(sd) > 1 else None,
+                    "switch_mean": float(np.mean(sw)) if sw else None,
+                }
+            )
+    report = {"config": asdict(spec), "rows": rows, "cells": cells}
+    if "ar" in spec.modes and "naive" in spec.modes:
+        report["switch_sign_test"] = [
+            _switch_sign_test(rows, spec.seeds, overlap) for overlap in spec.overlaps
+        ]
+    return report
+
+
+def plot_data(report: dict) -> str:
+    """Columnar text for gnuplot: one block per (mode, overlap) cell."""
+    cells = report.get("cells", [])
+    if not cells:
+        raise DomainError("empty report")
+    lines = []
+    for cell in sorted(cells, key=lambda c: (c["mode"], c["overlap"])):
+        mean = cell["si_sdri_mean"]
+        std = cell["si_sdri_std"]
+        lines.append(f"# mode={cell['mode']} overlap={cell['overlap']}")
+        lines.append(
+            f"{'nan' if mean is None else f'{mean:.6f}'} "
+            f"{'nan' if std is None else f'{std:.6f}'} {cell['n']}"
+        )
+        lines.append("")
+    return "\n".join(lines)

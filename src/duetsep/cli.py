@@ -10,19 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from . import bench
-from .core_signal import MixingModel, MixtureProblem, Waveform, mix, read_wav, write_wav
+from .core_signal import MixingModel, MixtureProblem, read_wav, write_wav
 from .errors import ConfigurationError, DomainError, ParseError, ShapeError
-from .metrics import evaluate, identity_switch_rate
+from .metrics import evaluate
 from .nmf import separate_nmf
 from .pipeline import Mode, Selection, SeparationConfig, plan_segments, separate
 from .posterior_sampler import Integrator
@@ -32,30 +29,30 @@ from .score_models import (
     kde_prior_from_exemplars,
     load_exemplar_bank,
 )
-from .synth_bench import ScenarioKind, make_scenario, render_voice
+from .synth_bench import ScenarioKind
 
-__all__ = ["main", "load_config", "sweep", "plot_data"]
+__all__ = ["main", "load_config"]
 
-WORKERS_ENV = "DUETSEP_WORKERS"
 
-KNOWN_CONFIG_KEYS = {
-    "schedule.sigma_min",
-    "schedule.sigma_max",
-    "schedule.steps",
-    "sampler.integrator",
-    "sampler.steps",
-    "sampler.seed",
-    "sampler.best_of_k",
-    "sweep.modes",
-    "sweep.overlaps",
-    "sweep.seeds",
-    "sweep.scenario",
-    "sweep.duration",
-    "sweep.segment",
-    "sweep.best_of_k",
-    "sweep.steps",
-    "sweep.out",
+def _parse_list(text: str, cast):
+    return [cast(part) for part in text.replace(",", " ").split()]
+
+
+# SweepSpec field -> parser of its text; each field is set by the flag of the
+# same dest or by the config key "sweep.<field>", else SweepSpec's default
+_SWEEP_FIELDS = {
+    "modes": lambda v: _parse_list(v, str),
+    "overlaps": lambda v: _parse_list(v, float),
+    "seeds": lambda v: _parse_list(v, int),
+    "scenario": str,
+    "duration": float,
+    "segment": int,
+    "steps": int,
+    "best_of_k": int,
+    "out": str,
 }
+
+KNOWN_CONFIG_KEYS = {f"sweep.{name}" for name in _SWEEP_FIELDS}
 
 
 def load_config(path) -> Dict[str, str]:
@@ -81,14 +78,7 @@ def _cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = ScenarioKind(args.scenario)
-    scenario = make_scenario(kind, args.duration, args.seed)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(101,)))
-    voices = [
-        render_voice(spec, contour, args.rate, args.duration, seed=int(rng.integers(2**31)))
-        for spec, contour in zip(scenario.singers, scenario.contours)
-    ]
-    mixing = MixingModel(sources=2)
-    mixture = mix(voices, mixing)
+    scenario, voices, mixture = bench.render_duet(kind, args.duration, args.seed, args.rate)
     for i, v in enumerate(voices, start=1):
         write_wav(out_dir / f"voice{i}.wav", v)
     write_wav(out_dir / "mixture.wav", mixture)
@@ -222,148 +212,17 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    modes: List[str]
-    overlaps: List[float]
-    seeds: List[int]
-    scenario: str = "crossing"
-    duration: float = 4.0
-    segment: int = 8192
-    steps: int = 100
-    best_of_k: int = 3
-    out: str = "sweep_out"
-
-
-def _sweep_row(task) -> dict:
-    spec_dict, mode_name, overlap, seed = task
-    spec = SweepSpec(**spec_dict)
-    try:
-        case = bench.build_case(
-            seed,
-            kind=ScenarioKind(spec.scenario),
-            duration=spec.duration,
-            segment_length=spec.segment,
-        )
-        if mode_name == "nmf":
-            row = bench.run_nmf_baseline(case, seed=seed)
-        else:
-            row = bench.run_mode(
-                case,
-                Mode(mode_name),
-                overlap_ratio=overlap,
-                steps=spec.steps,
-                best_of_k=spec.best_of_k,
-                seed=seed,
-            )
-        return {
-            "mode": mode_name,
-            "overlap": overlap,
-            "seed": seed,
-            "si_sdri": row.mean_si_sdri,
-            "sdri": row.mean_sdri,
-            "switch_rate": row.switch_rate,
-            "error": "",
-        }
-    except Exception as exc:  # record the failure, keep sweeping
-        return {
-            "mode": mode_name,
-            "overlap": overlap,
-            "seed": seed,
-            "si_sdri": float("nan"),
-            "sdri": float("nan"),
-            "switch_rate": float("nan"),
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-
-
-def sweep(spec: SweepSpec, workers: int = 1) -> dict:
-    """Run the (mode x overlap x seed) grid and aggregate mean +/- std per cell."""
-    if not spec.modes or not spec.overlaps or not spec.seeds:
-        raise ConfigurationError("sweep grid must be nonempty")
-    tasks = [
-        (asdict(spec), mode, overlap, seed)
-        for mode in spec.modes
-        for overlap in spec.overlaps
-        for seed in spec.seeds
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
-    cells = []
-    for mode in spec.modes:
-        for overlap in spec.overlaps:
-            vals = [
-                r
-                for r in rows
-                if r["mode"] == mode and r["overlap"] == overlap and not r["error"]
-            ]
-            si = [r["si_sdri"] for r in vals]
-            sd = [r["sdri"] for r in vals]
-            cells.append(
-                {
-                    "mode": mode,
-                    "overlap": overlap,
-                    "n": len(vals),
-                    "si_sdri_mean": float(np.mean(si)) if si else None,
-                    "si_sdri_std": float(np.std(si, ddof=1)) if len(si) > 1 else None,
-                    "sdri_mean": float(np.mean(sd)) if sd else None,
-                    "sdri_std": float(np.std(sd, ddof=1)) if len(sd) > 1 else None,
-                }
-            )
-    return {"config": asdict(spec), "rows": rows, "cells": cells}
-
-
-def plot_data(report: dict) -> str:
-    """Columnar text for gnuplot: one block per (mode, overlap) cell."""
-    cells = report.get("cells", [])
-    if not cells:
-        raise DomainError("empty report")
-    lines = []
-    for cell in sorted(cells, key=lambda c: (c["mode"], c["overlap"])):
-        mean = cell["si_sdri_mean"]
-        std = cell["si_sdri_std"]
-        lines.append(f"# mode={cell['mode']} overlap={cell['overlap']}")
-        lines.append(
-            f"{'nan' if mean is None else f'{mean:.6f}'} "
-            f"{'nan' if std is None else f'{std:.6f}'} {cell['n']}"
-        )
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _parse_list(text: str, cast):
-    return [cast(part) for part in text.replace(",", " ").split()]
-
-
 def _cmd_sweep(args) -> int:
     file_cfg = load_config(args.config) if args.config else {}
-
-    def pick(flag_value, key, cast, default):
+    given = {}
+    for name, parse in _SWEEP_FIELDS.items():
+        flag_value = getattr(args, name)
         if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return cast(file_cfg[key])
-        return default
-
-    spec = SweepSpec(
-        modes=pick(args.modes and _parse_list(args.modes, str), "sweep.modes",
-                   lambda v: _parse_list(v, str), ["naive", "segmented", "ar", "ar-tf", "nmf"]),
-        overlaps=pick(args.overlaps and _parse_list(args.overlaps, float), "sweep.overlaps",
-                      lambda v: _parse_list(v, float), [0.75]),
-        seeds=pick(args.seeds and _parse_list(args.seeds, int), "sweep.seeds",
-                   lambda v: _parse_list(v, int), [0, 1, 2]),
-        scenario=pick(args.scenario, "sweep.scenario", str, "crossing"),
-        duration=pick(args.duration, "sweep.duration", float, 4.0),
-        segment=pick(args.segment, "sweep.segment", int, 8192),
-        steps=pick(args.steps, "sweep.steps", int, 100),
-        best_of_k=pick(args.best_of, "sweep.best_of_k", int, 3),
-        out=pick(args.out, "sweep.out", str, "sweep_out"),
-    )
-    workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
-    report = sweep(spec, workers=workers)
+            given[name] = parse(flag_value)
+        elif f"sweep.{name}" in file_cfg:
+            given[name] = parse(file_cfg[f"sweep.{name}"])
+    spec = bench.SweepSpec(**given)
+    report = bench.sweep(spec, workers=args.workers)
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.json").write_text(json.dumps(report, indent=2))
@@ -374,14 +233,21 @@ def _cmd_sweep(args) -> int:
         )
         writer.writeheader()
         writer.writerows(report["rows"])
-    (out_dir / "sweep_plot.dat").write_text(plot_data(report))
+    (out_dir / "sweep_plot.dat").write_text(bench.plot_data(report))
     for cell in report["cells"]:
         mean = cell["si_sdri_mean"]
         std = cell["si_sdri_std"]
+        switch = cell["switch_mean"]
         print(
             f"{cell['mode']:>10} overlap={cell['overlap']:<5} "
             f"SI-SDRi {mean if mean is None else f'{mean:6.2f}'} "
-            f"+/- {std if std is None else f'{std:.2f}'} (n={cell['n']})"
+            f"+/- {std if std is None else f'{std:.2f}'} "
+            f"switch {switch if switch is None else f'{switch:.4f}'} (n={cell['n']})"
+        )
+    for test in report.get("switch_sign_test", []):
+        print(
+            f"switch-rate sign test (ar < naive) overlap={test['overlap']}: "
+            f"wins={test['wins']} losses={test['losses']} p={test['p']:.4f}"
         )
     print(f"wrote sweep results to {out_dir}")
     return 0
@@ -448,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=None)
     p.add_argument("--segment", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--best-of", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--best-of", dest="best_of_k", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 

@@ -7,8 +7,7 @@ All audio is mono, double precision internally. Files may be 16-bit PCM or
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +17,6 @@ from .errors import ConfigurationError, ParseError, ShapeError, UnsupportedForma
 
 __all__ = [
     "Waveform",
-    "MixingKind",
     "MixingModel",
     "MixtureProblem",
     "mix",
@@ -54,26 +52,14 @@ class Waveform:
         return len(self) / self.sample_rate
 
 
-class MixingKind(Enum):
-    INSTANTANEOUS_SUM = "instantaneous_sum"
-
-
 @dataclass(frozen=True)
 class MixingModel:
-    """How N sources combine into an M-channel observation.
+    """N sources summed sample by sample into one channel, plus optional noise."""
 
-    Only the single-channel instantaneous sum is implemented; the general
-    time-frequency mixing matrix is representable by adding kinds here.
-    """
-
-    kind: MixingKind = MixingKind.INSTANTANEOUS_SUM
-    channels: int = 1
     sources: int = 2
     noise_variance: float = 0.0
 
     def __post_init__(self):
-        if self.kind is MixingKind.INSTANTANEOUS_SUM and self.channels != 1:
-            raise ConfigurationError("instantaneous sum requires a single channel")
         if self.sources < 2:
             raise ConfigurationError("separation problems need at least 2 sources")
         if self.noise_variance < 0:

@@ -129,6 +129,9 @@ def evaluate(estimates: Sequence, references: Sequence, mixture) -> EvalReport:
     """
     if len(estimates) != len(references):
         raise ShapeError("estimate and reference counts differ")
+    rates = {x.sample_rate for x in (*estimates, *references, mixture) if isinstance(x, Waveform)}
+    if len(rates) > 1:
+        raise ShapeError(f"signals have different sample rates: {sorted(rates)}")
     ests = [_as_samples(e) for e in estimates]
     refs = [_as_samples(r) for r in references]
     mix = _as_samples(mixture)

@@ -5,7 +5,6 @@ reconstruction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -15,7 +14,6 @@ from .errors import ConfigurationError, DomainError, ShapeError
 
 __all__ = [
     "EPS",
-    "WindowKind",
     "Spectrogram",
     "NmfModel",
     "NmfSeparation",
@@ -30,10 +28,6 @@ __all__ = [
 EPS = 1e-12
 
 
-class WindowKind(Enum):
-    HANN = "hann"
-
-
 @dataclass(frozen=True)
 class Spectrogram:
     magnitudes: np.ndarray  # (bins, frames), >= 0
@@ -41,7 +35,6 @@ class Spectrogram:
     frame_size: int
     hop_size: int
     sample_rate: int
-    window: WindowKind = WindowKind.HANN
 
     def __post_init__(self):
         if np.any(self.magnitudes < 0):
@@ -86,7 +79,7 @@ def istft(spec: Spectrogram, length: Optional[int] = None) -> Waveform:
     frames = np.fft.irfft(spec.complex.T, n=spec.frame_size, axis=1)
     window = np.hanning(spec.frame_size)
     n_frames = frames.shape[0]
-    total = spec.frame_size + hop_total(spec.hop_size, n_frames)
+    total = spec.frame_size + spec.hop_size * (n_frames - 1)
     out = np.zeros(total)
     norm = np.zeros(total)
     for j in range(n_frames):
@@ -101,10 +94,6 @@ def istft(spec: Spectrogram, length: Optional[int] = None) -> Waveform:
     else:
         out = out[: total - 2 * pad - spec.frame_size]
     return Waveform(out, spec.sample_rate)
-
-
-def hop_total(hop_size: int, n_frames: int) -> int:
-    return hop_size * (n_frames - 1)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ Modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
@@ -23,7 +23,6 @@ from .errors import ConfigurationError, ShapeError
 from .metrics import si_sdr
 from .posterior_sampler import (
     InpaintCondition,
-    InpaintMode,
     Integrator,
     SamplerConfig,
     sample_posterior,
@@ -301,10 +300,14 @@ def separate(
     n_sources = problem.mixing.sources
     ref_arrays = None
     if references is not None:
-        ref_arrays = [r.samples for r in references]
-        for r in ref_arrays:
-            if r.shape != mixture.shape:
+        for r in references:
+            if r.samples.shape != mixture.shape:
                 raise ShapeError("references must match the mixture length")
+            if r.sample_rate != rate:
+                raise ShapeError(
+                    f"reference sample rate {r.sample_rate} differs from the mixture's {rate}"
+                )
+        ref_arrays = [r.samples for r in references]
 
     plan = config.plan
     if mode is Mode.SEGMENTED:
@@ -348,12 +351,10 @@ def separate(
             for src in range(1, n_sources):
                 if mode is Mode.AR_TF:
                     values = seg_refs[src].copy()
-                    cmode = InpaintMode.TEACHER_FORCING
                 else:
                     values = np.zeros(plan.segment_length)
                     values[:overlap] = prev_chosen[src][off - prev_offset : off - prev_offset + overlap]
-                    cmode = InpaintMode.PREVIOUS_ESTIMATE
-                conditions.append(InpaintCondition(mask=mask, values=values, mode=cmode))
+                conditions.append(InpaintCondition(mask=mask, values=values))
         chosen, record = _run_candidates(
             seg_mix,
             seg_models,

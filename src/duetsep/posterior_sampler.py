@@ -12,7 +12,7 @@ region after every step (inpainting).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
 
@@ -20,12 +20,11 @@ import numpy as np
 
 from .core_signal import MixtureProblem
 from .errors import ConfigurationError, NumericalDivergenceError, ShapeError
-from .schedule import NoiseSchedule, TimeGrid, make_grid
+from .schedule import TimeGrid
 from .score_models import ScoreModel
 
 __all__ = [
     "Integrator",
-    "InpaintMode",
     "SamplerConfig",
     "InpaintCondition",
     "sample_prior",
@@ -40,34 +39,23 @@ class Integrator(Enum):
     HEUN = "heun"
 
 
-class InpaintMode(Enum):
-    PREVIOUS_ESTIMATE = "previous_estimate"
-    TEACHER_FORCING = "teacher_forcing"
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     grid: TimeGrid
     integrator: Integrator = Integrator.HEUN
     seed: int = 0
 
-    @staticmethod
-    def default(steps: int = 100, seed: int = 0, schedule: Optional[NoiseSchedule] = None,
-                integrator: Integrator = Integrator.HEUN) -> "SamplerConfig":
-        return SamplerConfig(
-            grid=make_grid(schedule or NoiseSchedule(), steps),
-            integrator=integrator,
-            seed=seed,
-        )
-
 
 @dataclass(frozen=True)
 class InpaintCondition:
-    """Clamp `values` onto the masked positions (plus matched noise) after each step."""
+    """Clamp `values` onto the masked positions (plus matched noise) after each step.
+
+    The values may be the previous segment's estimate (ar) or the reference
+    (ar-tf, teacher forcing); the clamp treats both alike.
+    """
 
     mask: np.ndarray
     values: np.ndarray
-    mode: InpaintMode = InpaintMode.PREVIOUS_ESTIMATE
 
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=bool)

@@ -7,24 +7,18 @@ geometrically between sigma_min at t = 0 and sigma_max at t = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-__all__ = ["ScheduleKind", "NoiseSchedule", "TimeGrid", "sigma_at", "make_grid"]
-
-
-class ScheduleKind(Enum):
-    LOG_LINEAR = "log_linear"
+__all__ = ["NoiseSchedule", "TimeGrid", "sigma_at", "make_grid"]
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
     sigma_min: float = 0.01
     sigma_max: float = 10.0
-    kind: ScheduleKind = ScheduleKind.LOG_LINEAR
 
     def __post_init__(self):
         if not (0 < self.sigma_min < self.sigma_max):
@@ -52,11 +46,16 @@ class TimeGrid:
         object.__setattr__(self, "sigmas", sigmas)
 
 
+def _sigma(schedule: NoiseSchedule, t):
+    """sigma_min^(1-t) * sigma_max^t, for a float or an array of times."""
+    return schedule.sigma_min ** (1.0 - t) * schedule.sigma_max**t
+
+
 def sigma_at(schedule: NoiseSchedule, t: float) -> float:
     """Evaluate sigma(t) for t in [0, 1]."""
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"t must lie in [0, 1], got {t}")
-    return float(schedule.sigma_min ** (1.0 - t) * schedule.sigma_max**t)
+    return float(_sigma(schedule, t))
 
 
 def make_grid(schedule: NoiseSchedule, steps: int) -> TimeGrid:
@@ -64,7 +63,7 @@ def make_grid(schedule: NoiseSchedule, steps: int) -> TimeGrid:
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     times = np.linspace(1.0, 0.0, steps + 1)
-    sigmas = schedule.sigma_min ** (1.0 - times) * schedule.sigma_max**times
+    sigmas = _sigma(schedule, times)
     # pin the endpoints exactly
     sigmas[0] = schedule.sigma_max
     sigmas[-1] = schedule.sigma_min

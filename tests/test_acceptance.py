@@ -7,18 +7,16 @@ import sys
 import time
 from contextlib import contextmanager
 from itertools import permutations
-from multiprocessing import get_context
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
 import duetsep.bench as bench
+from duetsep.bench import SweepSpec
 from duetsep import (
     GaussianPrior,
     InpaintCondition,
-    InpaintMode,
     Integrator,
     MixingModel,
     MixtureProblem,
@@ -163,7 +161,7 @@ def test_criterion_4_inpainting_clamp():
         mixture = rng.normal(size=n)
         mask = np.zeros(n, bool)
         mask[: n // 2] = True
-        cond = InpaintCondition(mask, truth, InpaintMode.TEACHER_FORCING)
+        cond = InpaintCondition(mask, truth)
         p = GaussianPrior(mean=np.zeros(n), variance=1.0)
         problem = MixtureProblem(Waveform(mixture, 8000), MixingModel(sources=2))
         grid = make_grid(NoiseSchedule(sigma_min, 10.0), 50)
@@ -300,22 +298,19 @@ def test_criterion_7_nmf_properties():
 BENCH_SEEDS = 20
 
 
-def _bench_seed(seed):
-    case = bench.build_case(seed)
-    out = {}
-    for mode in (Mode.AR, Mode.SEGMENTED, Mode.NAIVE, Mode.AR_TF):
-        row = bench.run_mode(case, mode, best_of_k=3, seed=seed)
-        out[mode.value] = (row.mean_si_sdri, row.switch_rate)
-    row = bench.run_nmf_baseline(case, seed=seed)
-    out["nmf"] = (row.mean_si_sdri, row.switch_rate)
-    return seed, out
-
-
 @pytest.fixture(scope="module")
 def bench20():
     start = time.time()
-    with ProcessPoolExecutor(max_workers=8, mp_context=get_context("fork")) as pool:
-        results = dict(pool.map(_bench_seed, range(BENCH_SEEDS)))
+    spec = SweepSpec(
+        modes=["ar", "segmented", "naive", "ar-tf", "nmf"],
+        overlaps=[0.75],
+        seeds=range(BENCH_SEEDS),
+    )
+    report = bench.sweep(spec, workers=8)
+    assert not [r["error"] for r in report["rows"] if r["error"]]
+    results = {}
+    for r in report["rows"]:
+        results.setdefault(r["seed"], {})[r["mode"]] = (r["si_sdri"], r["switch_rate"])
     return results, time.time() - start
 
 

@@ -1,11 +1,17 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import duetsep
 from duetsep import Waveform, read_wav, write_wav
-from duetsep.cli import SweepSpec, load_config, main, plot_data, sweep
+from duetsep.bench import SweepSpec, build_case, plot_data, run_mode, run_nmf_baseline, sweep
+from duetsep.cli import load_config, main
 from duetsep.errors import ConfigurationError, DomainError
+from duetsep.pipeline import Mode
 
 
 def run(argv):
@@ -28,13 +34,13 @@ class TestLoadConfig:
             "sweep.seeds = 0 1 2\n"
             "sweep.steps = 50   # inline comment\n"
             "\n"
-            "schedule.sigma_min = 0.005\n"
+            "sweep.best_of_k = 1\n"
         )
         out = load_config(cfg)
         assert out == {
             "sweep.seeds": "0 1 2",
             "sweep.steps": "50",
-            "schedule.sigma_min": "0.005",
+            "sweep.best_of_k": "1",
         }
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -158,6 +164,19 @@ class TestEvalCommand:
         assert report["mean_si_sdri"] > 50
         assert csv_path.read_text().count("\n") == 2
 
+    def test_sample_rate_mismatch_exit_code(self, scenario_dir, tmp_path):
+        est_dir, refs_dir = tmp_path / "est", tmp_path / "refs"
+        est_dir.mkdir()
+        refs_dir.mkdir()
+        for i in (1, 2):
+            w = read_wav(scenario_dir / f"voice{i}.wav")
+            write_wav(est_dir / f"source{i}.wav", Waveform(w.samples, 16000))
+            write_wav(refs_dir / f"voice{i}.wav", w)
+        code = run(["eval", "--est", est_dir, "--refs", refs_dir,
+                    "--mixture", scenario_dir / "mixture.wav",
+                    "--out", tmp_path / "r.json"])
+        assert code == 3
+
     def test_count_mismatch_exit_code(self, scenario_dir, tmp_path):
         est_dir = tmp_path / "est"
         est_dir.mkdir()
@@ -188,6 +207,49 @@ class TestSweep:
         cells = {(c["mode"], c["overlap"]): c for c in report["cells"]}
         assert cells[("segmented", 0.5)]["n"] == 2
         assert cells[("segmented", 0.5)]["si_sdri_std"] is not None
+        switches = [r["switch_rate"] for r in report["rows"] if r["mode"] == "nmf"]
+        assert cells[("nmf", 0.5)]["switch_mean"] == np.mean(switches)
+        # the sign test needs both ar and naive in the grid
+        assert "switch_sign_test" not in report
+
+    def test_sign_test_pairs_ar_and_naive_by_seed(self):
+        spec = SweepSpec(modes=["ar", "naive"], overlaps=[0.5], seeds=[0, 1],
+                         duration=2.5, segment=2048, steps=5, best_of_k=1)
+        report = sweep(spec)
+        rate = {(r["mode"], r["seed"]): r["switch_rate"] for r in report["rows"]}
+        wins = sum(rate["ar", s] < rate["naive", s] for s in (0, 1))
+        losses = sum(rate["ar", s] > rate["naive", s] for s in (0, 1))
+        (test,) = report["switch_sign_test"]
+        assert (test["overlap"], test["wins"], test["losses"]) == (0.5, wins, losses)
+        assert 0.0 < test["p"] <= 1.0
+
+    def test_workers_and_direct_calls_agree(self):
+        spec = SweepSpec(modes=["segmented", "nmf"], overlaps=[0.5], seeds=[0, 1],
+                         duration=2.5, segment=2048, steps=10, best_of_k=1)
+        serial = sweep(spec, workers=1)["rows"]
+        assert sweep(spec, workers=2)["rows"] == serial
+        direct = []
+        for mode in spec.modes:
+            for seed in spec.seeds:
+                case = build_case(seed, duration=2.5, segment_length=2048)
+                if mode == "nmf":
+                    row = run_nmf_baseline(case, seed=seed)
+                else:
+                    row = run_mode(case, Mode(mode), overlap_ratio=0.5, steps=10,
+                                   best_of_k=1, seed=seed)
+                direct.append({"mode": mode, "overlap": 0.5, "seed": seed,
+                               "si_sdri": row.mean_si_sdri, "sdri": row.mean_sdri,
+                               "switch_rate": row.switch_rate, "error": ""})
+        assert serial == direct
+
+    def test_bench_import_stays_light(self):
+        # perfbench times `import duetsep.bench`; scipy.stats would double it
+        src = str(Path(duetsep.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import duetsep.bench; "
+                "print(sorted({'scipy.stats', 'duetsep.cli'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -251,4 +313,10 @@ class TestSweep:
     def test_unknown_config_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nope = 1\n")
+        assert run(["sweep", "--config", cfg]) == 2
+
+    def test_sampler_key_exit_code(self, tmp_path):
+        # sweeps take their sampler settings from sweep.* keys only
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sweep.modes = nmf\nsampler.steps = 50\n")
         assert run(["sweep", "--config", cfg]) == 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from duetsep import (
     SDR_CAP_DB,
+    Waveform,
     envelope_features,
     evaluate,
     identity_switch_rate,
@@ -143,6 +144,16 @@ class TestEvaluate:
     def test_count_mismatch(self):
         with pytest.raises(ShapeError):
             evaluate([np.ones(4)], [np.ones(4), np.ones(4)], np.ones(4))
+
+    def test_sample_rates_must_agree(self):
+        rng = np.random.default_rng(8)
+        refs = [rng.normal(size=64), rng.normal(size=64)]
+        with pytest.raises(ShapeError):
+            evaluate(
+                [Waveform(refs[0], 16000), Waveform(refs[1], 8000)],
+                [Waveform(r, 8000) for r in refs],
+                Waveform(refs[0] + refs[1], 44100),
+            )
 
     def test_invariant_to_consistent_permutation(self):
         rng = np.random.default_rng(7)

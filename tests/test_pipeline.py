@@ -283,6 +283,14 @@ class TestSeparate:
         with pytest.raises(ConfigurationError):
             separate(problem, models, cfg)
 
+    def test_reference_sample_rate_must_match(self):
+        problem, refs = toy_problem(64)
+        models = toy_models(refs, 32)
+        cfg = make_config(Mode.SEGMENTED, 64, 32, 0.0, steps=5)
+        refs_16k = [Waveform(r.samples, 16000) for r in refs]
+        with pytest.raises(ShapeError):
+            separate(problem, models, cfg, references=refs_16k)
+
     def test_ar_tf_requires_references(self):
         problem, refs = toy_problem(64)
         models = toy_models(refs, 32)

@@ -4,7 +4,6 @@ import pytest
 from duetsep import (
     GaussianPrior,
     InpaintCondition,
-    InpaintMode,
     Integrator,
     MixingModel,
     MixtureProblem,
@@ -173,7 +172,6 @@ class TestApplyInpaint:
         out = apply_inpaint(x, cond := InpaintCondition(mask, vals), 0.0, 0)
         np.testing.assert_array_equal(out[mask], vals[mask])
         np.testing.assert_array_equal(out[~mask], 0.0)
-        assert cond.mode is InpaintMode.PREVIOUS_ESTIMATE
 
     def test_noise_statistics(self):
         """Masked positions carry values + sigma * eps: over many draws the
@@ -259,7 +257,7 @@ class TestSamplePosterior:
         truth = rng.normal(size=n) * 0.5
         mask = np.zeros(n, bool)
         mask[: n // 2] = True
-        cond = InpaintCondition(mask, truth, InpaintMode.TEACHER_FORCING)
+        cond = InpaintCondition(mask, truth)
         p = GaussianPrior(mean=np.zeros(n), variance=1.0)
         out = sample_posterior(
             problem_for(mixture), [p, p], config(steps=60, seed=1), conditions=[cond]
@@ -272,9 +270,7 @@ class TestSamplePosterior:
         n = 16
         truth = rng.normal(size=n) * 0.5
         mixture = rng.normal(size=n)
-        cond = InpaintCondition(
-            np.ones(n, bool), truth, InpaintMode.TEACHER_FORCING
-        )
+        cond = InpaintCondition(np.ones(n, bool), truth)
         p = GaussianPrior(mean=np.zeros(n), variance=1.0)
         out = sample_posterior(
             problem_for(mixture), [p, p], config(steps=40, seed=2),
