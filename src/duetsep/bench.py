@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from multiprocessing import get_context
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,14 +58,12 @@ DEFAULT_SCHEDULE = NoiseSchedule(sigma_min=0.005, sigma_max=2.0)
 @dataclass(frozen=True)
 class BenchmarkCase:
     scenario: DuetScenario
-    sample_rate: int
     references: List[Waveform]
     mixture: Waveform
     problem: MixtureProblem
     materials: List[np.ndarray]  # padded full-length exemplar material
     prototypes: List[np.ndarray]
     segment_length: int
-    bank_stride: int
 
 
 @dataclass(frozen=True)
@@ -97,10 +95,8 @@ def build_case(
     duration: float = 4.0,
     sample_rate: int = BENCH_RATE,
     segment_length: int = BENCH_SEGMENT,
-    bank_stride: Optional[int] = None,
 ) -> BenchmarkCase:
     """Render one scenario and prepare the exemplar material."""
-    stride = bank_stride or segment_length // 4
     scenario, (v1, v2), mixture = render_duet(kind, duration, seed, sample_rate)
     problem = MixtureProblem(mixture, MixingModel(sources=2))
 
@@ -119,20 +115,19 @@ def build_case(
     )
     return BenchmarkCase(
         scenario=scenario,
-        sample_rate=sample_rate,
         references=[v1, v2],
         mixture=mixture,
         problem=problem,
         materials=materials,
         prototypes=prototypes,
         segment_length=segment_length,
-        bank_stride=stride,
     )
 
 
 def _bank_for_length(case: BenchmarkCase, length: int) -> np.ndarray:
-    """Slice the material signals into aligned exemplars of the given length."""
-    stride = case.bank_stride
+    """Slice the material signals into aligned exemplars of the given length,
+    one every quarter segment."""
+    stride = case.segment_length // 4
     segs = []
     for mat in case.materials:
         for off in range(0, len(mat) - length + 1, stride):
@@ -140,10 +135,10 @@ def _bank_for_length(case: BenchmarkCase, length: int) -> np.ndarray:
     return np.stack(segs)
 
 
-def _models_for_length(case: BenchmarkCase, length: int, bandwidth_scale: float = 0.1):
+def _models_for_length(case: BenchmarkCase, length: int):
     bank = _bank_for_length(case, length)
     rms = float(np.sqrt(np.mean(case.mixture.samples**2)))
-    prior = kde_prior_from_exemplars(bank, bandwidth=bandwidth_scale * rms)
+    prior = kde_prior_from_exemplars(bank, bandwidth=0.1 * rms)
     return [prior, prior]
 
 
@@ -157,64 +152,47 @@ def run_mode(
     schedule: NoiseSchedule = DEFAULT_SCHEDULE,
 ) -> BenchRow:
     """Run one separation strategy on the case and score it."""
-    plan = plan_segments(len(case.mixture), case.segment_length, overlap_ratio)
-    if mode is Mode.SEGMENTED:
-        model_length = plan.hop
-    else:
-        model_length = case.segment_length
-    models = _models_for_length(case, model_length)
     config = SeparationConfig(
         mode=mode,
-        plan=plan,
+        plan=plan_segments(len(case.mixture), case.segment_length, overlap_ratio),
         grid=make_grid(schedule, steps),
         integrator=Integrator.HEUN,
         seed=seed,
         best_of_k=best_of_k,
         selection=Selection.ORACLE_SI_SDR,
     )
+    models = _models_for_length(case, config.model_length)
     result = separate(case.problem, models, config, references=case.references)
-    report = evaluate(result.sources, case.references, case.mixture)
-    switch = identity_switch_rate(
-        [result.sources[p] for p in report.permutation],
-        case.prototypes,
-        SWITCH_FRAME,
-    )
-    return BenchRow(
-        mode=mode.value,
-        overlap_ratio=overlap_ratio,
-        seed=seed,
-        mean_si_sdri=report.mean_si_sdri,
-        mean_sdri=report.mean_sdri,
-        switch_rate=switch,
-    )
+    return _score_row(case, result.sources, mode.value, overlap_ratio, seed)
 
 
-def run_nmf_baseline(
-    case: BenchmarkCase,
-    seed: int = 0,
-    components_per_source: int = 8,
-    iterations: int = 200,
-) -> BenchRow:
+def run_nmf_baseline(case: BenchmarkCase, seed: int = 0) -> BenchRow:
     sep = separate_nmf(
         case.problem,
         n_sources=2,
-        components_per_source=components_per_source,
-        iterations=iterations,
+        components_per_source=8,
+        iterations=200,
         seed=seed,
         frame_size=1024,
         hop_size=256,
         fmin=140.0,
         fmax=450.0,
     )
-    report = evaluate(sep.sources, case.references, case.mixture)
+    return _score_row(case, sep.sources, "nmf", 0.0, seed)
+
+
+def _score_row(
+    case: BenchmarkCase, sources: List[Waveform], mode: str, overlap_ratio: float, seed: int
+) -> BenchRow:
+    """SI-SDRi/SDRi against the references and the switch rate of the sources
+    in their best-matching order."""
+    report = evaluate(sources, case.references, case.mixture)
     switch = identity_switch_rate(
-        [sep.sources[p] for p in report.permutation],
-        case.prototypes,
-        SWITCH_FRAME,
+        [sources[p] for p in report.permutation], case.prototypes, SWITCH_FRAME
     )
     return BenchRow(
-        mode="nmf",
-        overlap_ratio=0.0,
+        mode=mode,
+        overlap_ratio=overlap_ratio,
         seed=seed,
         mean_si_sdri=report.mean_si_sdri,
         mean_sdri=report.mean_sdri,
@@ -240,8 +218,10 @@ class SweepSpec:
 
 def _sweep_seed(spec: SweepSpec, seed: int) -> List[dict]:
     """Every (mode, overlap) row of one seed, all on one rendered case. A row
-    that raises records the error and the sweep goes on."""
+    that raises records the error and the sweep goes on. The NMF baseline does
+    not depend on the overlap: it runs once and its row repeats per overlap."""
     case = None
+    nmf = None
     rows = []
     for mode in spec.modes:
         for overlap in spec.overlaps:
@@ -254,7 +234,9 @@ def _sweep_seed(spec: SweepSpec, seed: int) -> List[dict]:
                         segment_length=spec.segment,
                     )
                 if mode == "nmf":
-                    row = run_nmf_baseline(case, seed=seed)
+                    if nmf is None:
+                        nmf = run_nmf_baseline(case, seed=seed)
+                    row = nmf
                 else:
                     row = run_mode(
                         case,
@@ -316,6 +298,15 @@ def sweep(spec: SweepSpec, workers: int = 1) -> dict:
     """
     if not spec.modes or not spec.overlaps or not spec.seeds:
         raise ConfigurationError("sweep grid must be nonempty")
+    known = [m.value for m in Mode] + ["nmf"]
+    for mode in spec.modes:
+        if mode not in known:
+            raise ConfigurationError(f"unknown sweep mode {mode!r}; known: {', '.join(known)}")
+    if spec.scenario not in [k.value for k in ScenarioKind]:
+        raise ConfigurationError(f"unknown sweep scenario {spec.scenario!r}")
+    for overlap in spec.overlaps:
+        if not 0.0 <= overlap < 1.0:
+            raise ConfigurationError(f"sweep overlap must lie in [0, 1), got {overlap}")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             per_seed = list(pool.map(_sweep_seed, repeat(spec), spec.seeds))

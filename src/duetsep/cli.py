@@ -2,7 +2,7 @@
 
 Configuration files use dotted key = value lines; command-line flags override
 file values. Exit codes: 0 success, 2 configuration error, 3 runtime or
-numerical error.
+numerical error (for sweep: any row that failed).
 """
 
 from __future__ import annotations
@@ -119,32 +119,24 @@ def _cmd_separate(args) -> int:
     n_sources = len(references) if references else args.sources
     exemplars = load_exemplar_bank(args.bank)
     bandwidth = args.bandwidth or default_kde_bandwidth(exemplars)
-    mixing = MixingModel(sources=n_sources)
-    problem = MixtureProblem(mixture, mixing)
-    plan = plan_segments(len(mixture), args.segment, args.overlap)
-    mode = Mode(args.mode)
-    model_length = plan.hop if mode is Mode.SEGMENTED else args.segment
-    if exemplars.shape[1] != model_length:
-        raise ConfigurationError(
-            f"bank exemplar length {exemplars.shape[1]} does not match the "
-            f"model segment length {model_length}"
-        )
-    prior = kde_prior_from_exemplars(exemplars, bandwidth)
-    models = [prior] * n_sources
-    selection = (
-        Selection.ORACLE_SI_SDR if references else Selection.MIXTURE_RESIDUAL
-    )
+    problem = MixtureProblem(mixture, MixingModel(sources=n_sources))
     schedule = NoiseSchedule(sigma_min=args.sigma_min, sigma_max=args.sigma_max)
     config = SeparationConfig(
-        mode=mode,
-        plan=plan,
+        mode=Mode(args.mode),
+        plan=plan_segments(len(mixture), args.segment, args.overlap),
         grid=make_grid(schedule, args.steps),
         integrator=Integrator(args.integrator),
         seed=args.seed,
         best_of_k=args.best_of,
-        selection=selection,
+        selection=Selection.ORACLE_SI_SDR if references else Selection.MIXTURE_RESIDUAL,
     )
-    result = separate(problem, models, config, references=references)
+    if exemplars.shape[1] != config.model_length:
+        raise ConfigurationError(
+            f"bank exemplar length {exemplars.shape[1]} does not match the "
+            f"model segment length {config.model_length}"
+        )
+    prior = kde_prior_from_exemplars(exemplars, bandwidth)
+    result = separate(problem, [prior] * n_sources, config, references=references)
     for i, src in enumerate(result.sources, start=1):
         write_wav(out_dir / f"source{i}.wav", src)
     diagnostics = result.to_dict()
@@ -250,6 +242,14 @@ def _cmd_sweep(args) -> int:
             f"wins={test['wins']} losses={test['losses']} p={test['p']:.4f}"
         )
     print(f"wrote sweep results to {out_dir}")
+    failed = [r for r in report["rows"] if r["error"]]
+    if failed:
+        print(
+            f"error: {len(failed)} of {len(report['rows'])} sweep rows failed; "
+            f"first: {failed[0]['error']}",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class SourceMetrics:
 class EvalReport:
     per_source: List[SourceMetrics]
     permutation: Tuple[int, ...]
-    identity_switch_rate: Optional[float] = None
 
     @property
     def mean_si_sdri(self) -> float:
@@ -105,7 +104,6 @@ class EvalReport:
     def to_dict(self) -> dict:
         return {
             "permutation": list(self.permutation),
-            "identity_switch_rate": self.identity_switch_rate,
             "per_source": [
                 {
                     "si_sdr": m.si_sdr,

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core_signal import MixingModel, MixtureProblem, Waveform
+from .core_signal import MixtureProblem, Waveform
 from .errors import ConfigurationError, ShapeError
 from .metrics import si_sdr
 from .posterior_sampler import (
@@ -110,6 +110,12 @@ class SeparationConfig:
         if self.best_of_k < 1:
             raise ConfigurationError("best_of_k must be >= 1")
 
+    @property
+    def model_length(self) -> int:
+        """Length of the pieces the score models see: segmented scores
+        hop-length pieces, every other mode segment-length ones."""
+        return self.plan.hop if self.mode is Mode.SEGMENTED else self.plan.segment_length
+
 
 @dataclass(frozen=True)
 class SegmentRecord:
@@ -168,26 +174,19 @@ def select_best_of_k(
     if len(candidates) < 1:
         raise ConfigurationError("need at least one candidate")
     n = len(candidates[0])
-    identity = tuple(range(n))
     if selection is Selection.MIXTURE_RESIDUAL:
-        best, best_idx = np.inf, 0
-        for idx, cand in enumerate(candidates):
-            resid = float(np.linalg.norm(mixture - np.sum(cand, axis=0)))
-            if resid < best:
-                best, best_idx = resid, idx
-        return best_idx, identity
-    if references is None:
+        perms, sign = [tuple(range(n))], -1.0  # the smallest residual wins
+    elif references is None:
         raise ConfigurationError("oracle selection requires references")
-    best_score = -np.inf
-    best_idx, best_perm = 0, identity
+    else:
+        perms, sign = list(permutations(range(n))), 1.0
+    best_key, best = -np.inf, (0, perms[0])
     for idx, cand in enumerate(candidates):
-        for perm in permutations(range(n)):
-            score = np.mean(
-                [_safe_si_sdr(cand[p], references[i]) for i, p in enumerate(perm)]
-            )
-            if score > best_score:
-                best_score, best_idx, best_perm = score, idx, perm
-    return best_idx, best_perm
+        for perm in perms:
+            key = sign * _selection_score(cand, perm, selection, references, mixture)
+            if key > best_key:  # strict: the first of equal scores stays
+                best_key, best = key, (idx, perm)
+    return best
 
 
 def _selection_score(
@@ -253,35 +252,6 @@ def _segment_slice(x: np.ndarray, offset: int, length: int) -> np.ndarray:
     return out
 
 
-def _run_candidates(
-    seg_mixture: np.ndarray,
-    models: Sequence[ScoreModel],
-    mixing: MixingModel,
-    grid: TimeGrid,
-    integrator: Integrator,
-    base_seed: int,
-    segment_index: int,
-    best_of_k: int,
-    selection: Selection,
-    seg_refs: Optional[Sequence[np.ndarray]],
-    conditions: Optional[Sequence[Optional[InpaintCondition]]],
-    rate: int,
-) -> Tuple[List[np.ndarray], SegmentRecord]:
-    problem = MixtureProblem(Waveform(seg_mixture, rate), mixing)
-    candidates = []
-    seeds = []
-    for cand in range(best_of_k):
-        seed = _candidate_seed(base_seed, segment_index, cand)
-        seeds.append(seed)
-        cfg = SamplerConfig(grid=grid, integrator=integrator, seed=seed)
-        candidates.append(sample_posterior(problem, models, cfg, conditions))
-    idx, perm = select_best_of_k(candidates, selection, seg_refs, seg_mixture)
-    chosen = [candidates[idx][p] for p in perm]
-    score = _selection_score(candidates[idx], perm, selection, seg_refs, seg_mixture)
-    record = SegmentRecord(segment_index, idx, score, perm, seeds[idx])
-    return chosen, record
-
-
 def separate(
     problem: MixtureProblem,
     models: Sequence[ScoreModel],
@@ -310,12 +280,12 @@ def separate(
         ref_arrays = [r.samples for r in references]
 
     plan = config.plan
-    if mode is Mode.SEGMENTED:
-        # disjoint segments of length L*(1-r), no conditioning
-        plan = plan_segments(len(mixture), plan.hop, 0.0)
-    elif mode is Mode.NAIVE:
-        base = plan_segments(len(mixture), config.plan.segment_length, 0.0)
-        plan = plan_segments(base.padded_length, base.padded_length, 0.0)
+    if mode in (Mode.SEGMENTED, Mode.NAIVE):
+        # disjoint pieces of the model length, no conditioning; naive runs
+        # once over their whole padded span
+        plan = plan_segments(len(mixture), config.model_length, 0.0)
+        if mode is Mode.NAIVE:
+            plan = plan_segments(plan.padded_length, plan.padded_length, 0.0)
 
     seg_models = list(models)
     native = next((m.native_length for m in seg_models if m.native_length is not None), None)
@@ -331,7 +301,7 @@ def separate(
                 f"{plan.segment_length}"
             )
 
-    overlap = plan.overlap if mode in (Mode.AR, Mode.AR_TF) else 0
+    overlap = plan.overlap  # 0 unless ar or ar-tf
     records: List[SegmentRecord] = []
     seg_outputs: List[List[np.ndarray]] = []
     prev_chosen: Optional[List[np.ndarray]] = None
@@ -355,21 +325,21 @@ def separate(
                     values = np.zeros(plan.segment_length)
                     values[:overlap] = prev_chosen[src][off - prev_offset : off - prev_offset + overlap]
                 conditions.append(InpaintCondition(mask=mask, values=values))
-        chosen, record = _run_candidates(
-            seg_mix,
-            seg_models,
-            problem.mixing,
-            config.grid,
-            config.integrator,
-            config.seed,
-            j,
-            config.best_of_k,
-            config.selection,
-            seg_refs,
-            conditions,
-            rate,
-        )
-        records.append(record)
+        seg_problem = MixtureProblem(Waveform(seg_mix, rate), problem.mixing)
+        seeds = [_candidate_seed(config.seed, j, c) for c in range(config.best_of_k)]
+        candidates = [
+            sample_posterior(
+                seg_problem,
+                seg_models,
+                SamplerConfig(grid=config.grid, integrator=config.integrator, seed=seed),
+                conditions,
+            )
+            for seed in seeds
+        ]
+        idx, perm = select_best_of_k(candidates, config.selection, seg_refs, seg_mix)
+        chosen = [candidates[idx][p] for p in perm]
+        score = _selection_score(candidates[idx], perm, config.selection, seg_refs, seg_mix)
+        records.append(SegmentRecord(j, idx, score, perm, seeds[idx]))
         seg_outputs.append(chosen)
         prev_chosen = chosen
         prev_offset = off

@@ -5,16 +5,16 @@ stepping along the grid's descending sigmas from sigma_max to sigma_min. Euler
 and Heun (trapezoidal corrector) discretizations are provided; Heun is the
 default everywhere.
 
-Separation conditions the flow of the N-1 free sources on the observed mixture
-via the weakly-supervised posterior gradient, and optionally clamps a known
-region after every step (inpainting).
+Separation conditions the flow of the N-1 free sources, held as the rows of
+one array, on the observed mixture via the weakly-supervised posterior
+gradient, and optionally clamps a known region after every step (inpainting).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -93,6 +93,33 @@ def _check_finite(x: np.ndarray, step: int) -> None:
         )
 
 
+def _integrate(
+    x: np.ndarray,
+    velocity: Callable[[np.ndarray, float], np.ndarray],
+    config: SamplerConfig,
+    after_step: Optional[Callable[[np.ndarray, float], None]] = None,
+) -> np.ndarray:
+    """Step dx/dsigma = velocity(x, sigma) down config.grid's sigmas.
+
+    `after_step(x, sigma)`, when given, may edit each new state in place; the
+    state it receives is always a fresh array.
+    """
+    sig = config.grid.sigmas
+    for k in range(config.grid.steps):
+        s0, s1 = sig[k], sig[k + 1]
+        d0 = velocity(x, s0)
+        x_euler = x + (s1 - s0) * d0
+        if config.integrator is Integrator.HEUN:
+            d1 = velocity(x_euler, s1)
+            x = x + (s1 - s0) * 0.5 * (d0 + d1)
+        else:
+            x = x_euler
+        _check_finite(x, k)
+        if after_step is not None:
+            after_step(x, s1)
+    return x
+
+
 def sample_prior(model: ScoreModel, config: SamplerConfig, length: Optional[int] = None) -> np.ndarray:
     """Integrate the flow from Gaussian noise at sigma_max down to sigma_min.
 
@@ -102,34 +129,24 @@ def sample_prior(model: ScoreModel, config: SamplerConfig, length: Optional[int]
     n = model.native_length if model.native_length is not None else length
     if n is None:
         raise ConfigurationError("model has no native_length; pass length explicitly")
-    sig = config.grid.sigmas
     rng = np.random.default_rng(config.seed)
-    x = rng.standard_normal(n) * sig[0]
-    for k in range(config.grid.steps):
-        s0, s1 = sig[k], sig[k + 1]
-        d0 = -s0 * model.score(x, s0)
-        x_euler = x + (s1 - s0) * d0
-        if config.integrator is Integrator.HEUN:
-            d1 = -s1 * model.score(x_euler, s1)
-            x = x + (s1 - s0) * 0.5 * (d0 + d1)
-        else:
-            x = x_euler
-        _check_finite(x, k)
-    return x
+    x = rng.standard_normal(n) * config.grid.sigmas[0]
+    return _integrate(x, lambda x, s: -s * model.score(x, s), config)
 
 
 def posterior_score(
     models: Sequence[ScoreModel],
-    states: Sequence[np.ndarray],
+    states: np.ndarray | Sequence[np.ndarray],
     mixture: np.ndarray,
     sigma: float,
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Weakly-supervised conditional gradient for the free sources s_2..s_N.
 
-    models[0] is the constrained source's prior. For each free source i the
-    gradient is score_i(s_i) - score_1(mixture - sum_j s_j): the second term
-    picks up a minus sign from differentiating through the residual, and the
-    result matches the gradient of log[prod_i p_i(s_i) * p_1(residual)].
+    models[0] is the constrained source's prior; `states` holds the N-1 free
+    sources as rows, and so does the returned gradient. For each free source i
+    the gradient is score_i(s_i) - score_1(mixture - sum_j s_j): the second
+    term picks up a minus sign from differentiating through the residual, and
+    the result matches the gradient of log[prod_i p_i(s_i) * p_1(residual)].
     """
     n = len(models)
     if n < 2:
@@ -137,16 +154,14 @@ def posterior_score(
     if len(states) != n - 1:
         raise ConfigurationError(f"expected {n - 1} free states, got {len(states)}")
     mixture = np.asarray(mixture, dtype=np.float64)
-    states = [np.asarray(s, dtype=np.float64) for s in states]
-    for s in states:
-        if s.shape != mixture.shape:
-            raise ShapeError("states must share the mixture's shape")
-    residual = mixture - np.sum(states, axis=0)
-    constrained = models[0].score(residual, sigma)
-    return [
-        models[i + 1].score(states[i], sigma) - constrained
-        for i in range(n - 1)
-    ]
+    if any(np.shape(s) != mixture.shape for s in states):
+        raise ShapeError("states must share the mixture's shape")
+    states = np.asarray(states, dtype=np.float64)
+    constrained = models[0].score(mixture - np.sum(states, axis=0), sigma)
+    out = np.empty_like(states)
+    for i in range(n - 1):
+        np.subtract(models[i + 1].score(states[i], sigma), constrained, out=out[i])
+    return out
 
 
 def sample_posterior(
@@ -186,31 +201,20 @@ def sample_posterior(
     else:
         conditions = [None] * (n - 1)
 
-    sig = config.grid.sigmas
     rng = np.random.default_rng(config.seed)
-    states = [rng.standard_normal(length) * sig[0] for _ in range(n - 1)]
-    states = [
-        apply_inpaint(s, c, sig[0], rng) if c is not None else s
-        for s, c in zip(states, conditions)
-    ]
-    for k in range(config.grid.steps):
-        s0, s1 = sig[k], sig[k + 1]
-        g0 = posterior_score(models, states, mixture, s0)
-        d0 = [-s0 * g for g in g0]
-        euler = [s + (s1 - s0) * d for s, d in zip(states, d0)]
-        if config.integrator is Integrator.HEUN:
-            g1 = posterior_score(models, euler, mixture, s1)
-            d1 = [-s1 * g for g in g1]
-            states = [
-                s + (s1 - s0) * 0.5 * (a + b) for s, a, b in zip(states, d0, d1)
-            ]
-        else:
-            states = euler
-        for s in states:
-            _check_finite(s, k)
-        states = [
-            apply_inpaint(s, c, s1, rng) if c is not None else s
-            for s, c in zip(states, conditions)
-        ]
-    constrained = mixture - np.sum(states, axis=0)
-    return [constrained, *states]
+
+    def clamp(states: np.ndarray, sigma: float) -> None:
+        for i, c in enumerate(conditions):
+            if c is not None:
+                states[i] = apply_inpaint(states[i], c, sigma, rng)
+
+    sigma_max = config.grid.sigmas[0]
+    states = rng.standard_normal((n - 1, length)) * sigma_max
+    clamp(states, sigma_max)
+    states = _integrate(
+        states,
+        lambda x, s: -s * posterior_score(models, x, mixture, s),
+        config,
+        clamp,
+    )
+    return [mixture - np.sum(states, axis=0), *states]

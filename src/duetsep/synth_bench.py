@@ -44,7 +44,6 @@ class SingerSpec:
     partial_amplitudes: Tuple[float, ...]
     vibrato_rate: float = 5.0
     vibrato_depth: float = 20.0  # cents
-    base_gain: float = 1.0
 
     def __post_init__(self):
         amps = tuple(float(a) for a in self.partial_amplitudes)
@@ -159,7 +158,7 @@ def render_voice(
         out[-fade:] *= ramp[::-1]
     peak = np.max(np.abs(out))
     if peak > 0:
-        out *= 0.5 * spec.base_gain / peak
+        out *= 0.5 / peak
     return Waveform(out, sample_rate)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import duetsep
-from duetsep import Waveform, read_wav, write_wav
+from duetsep import Waveform, bench, read_wav, write_wav
 from duetsep.bench import SweepSpec, build_case, plot_data, run_mode, run_nmf_baseline, sweep
 from duetsep.cli import load_config, main
 from duetsep.errors import ConfigurationError, DomainError
@@ -251,9 +251,33 @@ class TestSweep:
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_empty_grid_rejected(self):
+    def test_empty_grid_rejected(self, monkeypatch):
+        # a malformed grid fails before any case is rendered
+        monkeypatch.setattr(bench, "build_case", None)
         with pytest.raises(ConfigurationError):
             sweep(SweepSpec(modes=[], overlaps=[0.5], seeds=[0]))
+        with pytest.raises(ConfigurationError):
+            sweep(SweepSpec(modes=["segmented", "bogus"], overlaps=[0.5], seeds=[0]))
+        with pytest.raises(ConfigurationError):
+            sweep(SweepSpec(modes=["nmf"], overlaps=[0.5], seeds=[0], scenario="bogus"))
+        with pytest.raises(ConfigurationError):
+            sweep(SweepSpec(modes=["nmf"], overlaps=[0.5, 1.0], seeds=[0]))
+
+    def test_nmf_runs_once_per_seed(self, monkeypatch):
+        calls = []
+        inner = bench.run_nmf_baseline
+
+        def counted(case, seed=0):
+            calls.append(seed)
+            return inner(case, seed=seed)
+
+        monkeypatch.setattr(bench, "run_nmf_baseline", counted)
+        spec = SweepSpec(modes=["nmf"], overlaps=[0.25, 0.5], seeds=[0],
+                         duration=2.5, segment=2048)
+        rows = sweep(spec)["rows"]
+        assert calls == [0]
+        assert [r["overlap"] for r in rows] == [0.25, 0.5]
+        assert rows[0]["si_sdri"] == rows[1]["si_sdri"] and not rows[0]["error"]
 
     def test_plot_data_format(self):
         report = {
@@ -314,6 +338,27 @@ class TestSweep:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nope = 1\n")
         assert run(["sweep", "--config", cfg]) == 2
+
+    def test_bad_mode_exit_code(self, tmp_path):
+        assert run(["sweep", "--modes", "bogus", "--seeds", 0,
+                    "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_row_exit_code(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sampler broke")
+
+        monkeypatch.setattr(bench, "run_mode", broken)
+        out_dir = tmp_path / "o"
+        assert run(["sweep", "--modes", "segmented nmf", "--overlaps", 0.5,
+                    "--seeds", 0, "--duration", 2.5, "--segment", 2048,
+                    "--out", out_dir]) == 3
+        # every file is still written, and the failure is named
+        for name in ("sweep.json", "sweep.csv", "sweep_plot.dat"):
+            assert (out_dir / name).exists()
+        assert "1 of 2 sweep rows failed; first: RuntimeError: sampler broke" in (
+            capsys.readouterr().err
+        )
 
     def test_sampler_key_exit_code(self, tmp_path):
         # sweeps take their sampler settings from sweep.* keys only

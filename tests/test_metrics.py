@@ -170,7 +170,7 @@ class TestEvaluate:
         refs = [rng.normal(size=32), rng.normal(size=32)]
         d = evaluate(refs, refs, refs[0] + refs[1]).to_dict()
         assert set(d) == {
-            "permutation", "identity_switch_rate", "per_source",
+            "permutation", "per_source",
             "mean_si_sdri", "mean_sdri",
         }
 

@@ -117,6 +117,13 @@ class TestSelectBestOfK:
         with pytest.raises(ConfigurationError):
             select_best_of_k([[np.ones(4)]], Selection.ORACLE_SI_SDR, None, np.ones(4))
 
+    @pytest.mark.parametrize("selection", list(Selection))
+    def test_ties_keep_first_candidate(self, selection):
+        refs = [np.arange(8.0), np.cos(np.arange(8.0))]
+        cand = [refs[0] + 0.1, refs[1] - 0.1]
+        idx, perm = select_best_of_k([cand, list(cand)], selection, refs, np.ones(8))
+        assert idx == 0 and perm == (0, 1)
+
     def test_zero_reference_scores_zero(self):
         assert _safe_si_sdr(np.ones(4), np.zeros(4)) == 0.0
 
@@ -194,6 +201,37 @@ def make_config(mode, n, seg, r, steps=30, seed=0, k=1):
 
 
 class TestSeparate:
+    def test_model_length_per_mode(self):
+        assert make_config(Mode.SEGMENTED, 96, 32, 0.75).model_length == 8
+        for mode in (Mode.NAIVE, Mode.AR, Mode.AR_TF):
+            assert make_config(mode, 96, 32, 0.75).model_length == 32
+
+    @given(
+        mode=st.sampled_from(list(Mode)),
+        n_sources=st.sampled_from([2, 3]),
+        k=st.sampled_from([1, 2]),
+        r=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sources_sum_to_mixture(self, mode, n_sources, k, r, seed):
+        """Every mode emits sources that add back to the mixture: the sampler
+        makes the constrained source the residual, and stitch's crossfade is a
+        convex blend of segments that each sum to the mixture."""
+        n = 96
+        rng = np.random.default_rng(seed)
+        refs = [Waveform(rng.normal(size=n) * 0.5, 8000) for _ in range(n_sources)]
+        mixture = np.sum([w.samples for w in refs], axis=0)
+        problem = MixtureProblem(Waveform(mixture, 8000), MixingModel(sources=n_sources))
+        cfg = make_config(mode, n, 32, r, steps=5, seed=seed, k=k)
+        bank = rng.normal(size=(6, cfg.model_length)) * 0.5
+        models = [kde_prior_from_exemplars(bank, bandwidth=0.1)] * n_sources
+        result = separate(problem, models, cfg, references=refs)
+        assert len(result.sources) == n_sources
+        total = np.sum([w.samples for w in result.sources], axis=0)
+        peak = float(np.max(np.abs(mixture)))
+        assert np.max(np.abs(total - mixture)) <= 1e-9 * max(1.0, peak)
+
     def test_outputs_match_input_length(self):
         problem, refs = toy_problem(100)
         models = toy_models(refs, 32)
