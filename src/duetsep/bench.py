@@ -304,9 +304,14 @@ def sweep(spec: SweepSpec, workers: int = 1) -> dict:
             raise ConfigurationError(f"unknown sweep mode {mode!r}; known: {', '.join(known)}")
     if spec.scenario not in [k.value for k in ScenarioKind]:
         raise ConfigurationError(f"unknown sweep scenario {spec.scenario!r}")
+    for name in ("steps", "best_of_k", "segment"):
+        if getattr(spec, name) < 1:
+            raise ConfigurationError(f"sweep {name} must be >= 1, got {getattr(spec, name)}")
+    if not spec.duration > 0:
+        raise ConfigurationError(f"sweep duration must be positive, got {spec.duration}")
     for overlap in spec.overlaps:
-        if not 0.0 <= overlap < 1.0:
-            raise ConfigurationError(f"sweep overlap must lie in [0, 1), got {overlap}")
+        # rejects an overlap outside [0, 1) and one whose hop rounds to 0
+        plan_segments(spec.segment, spec.segment, overlap)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             per_seed = list(pool.map(_sweep_seed, repeat(spec), spec.seeds))

@@ -74,8 +74,8 @@ class SegmentPlan:
 def plan_segments(signal_length: int, segment_length: int, overlap_ratio: float) -> SegmentPlan:
     """Cover [0, signal_length) with segments of the given length and overlap.
 
-    hop = round(L * (1 - r)); the input is zero-padded so the last segment
-    lines up with the hop grid.
+    hop = round(L * (1 - r)), which must be at least 1; the input is
+    zero-padded so the last segment lines up with the hop grid.
     """
     if segment_length < 1:
         raise ConfigurationError("segment_length must be >= 1")
@@ -83,7 +83,11 @@ def plan_segments(signal_length: int, segment_length: int, overlap_ratio: float)
         raise ConfigurationError(f"overlap_ratio must lie in [0, 1), got {overlap_ratio}")
     if signal_length < 1:
         raise ConfigurationError("signal_length must be >= 1")
-    hop = max(1, round(segment_length * (1.0 - overlap_ratio)))
+    hop = round(segment_length * (1.0 - overlap_ratio))
+    if hop < 1:
+        raise ConfigurationError(
+            f"overlap_ratio {overlap_ratio} leaves no hop at segment length {segment_length}"
+        )
     offsets = [0]
     while offsets[-1] + segment_length < signal_length:
         offsets.append(offsets[-1] + hop)

@@ -12,7 +12,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -84,11 +84,14 @@ class MixturePrior:
     """Gaussian mixture with isotropic components; doubles as a KDE prior.
 
     The parameters are stored as read-only views, and log w and |mu|^2 are
-    computed once here, so that a score call makes only the two (K, d) passes
-    of its matmuls. A float64 array passed in is not copied: the prior shares
-    its memory with the caller's array, which stays writable. The caller must
-    not edit that array after the prior is built; nothing detects it, and the
-    cached |mu|^2 would no longer match the means.
+    computed once here, so that a score call reads the (K, d) bank only in its
+    two matmuls, the second often over the live components alone. The
+    per-sigma terms v_k + sigma^2 and the log-normaliser are kept for the last
+    sigma seen, since an integrator step scores each sigma several times. A
+    float64 array passed in is not copied: the prior shares its memory with
+    the caller's array, which stays writable. The caller must not edit that
+    array after the prior is built; nothing detects it, and the cached |mu|^2
+    would no longer match the means.
     """
 
     weights: np.ndarray
@@ -113,10 +116,26 @@ class MixturePrior:
             object.__setattr__(self, name, view)
         object.__setattr__(self, "_log_weights", np.log(w))
         object.__setattr__(self, "_means_sq", np.einsum("kd,kd->k", m, m))
+        object.__setattr__(self, "_sigma_cache", (None, None, None))
 
     @property
     def native_length(self) -> Optional[int]:
         return int(self.means.shape[1])
+
+    def _sigma_terms(self, sigma: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(v, log w - d/2 log 2 pi v) with v = variances + sigma^2, both (K,).
+
+        Kept for the last sigma seen, as read-only arrays. The cache is one
+        tuple, swapped whole, so a reader never pairs one sigma's terms with
+        another's.
+        """
+        cached_sigma, v, const = self._sigma_cache
+        if cached_sigma != sigma:
+            v = self.variances + sigma**2
+            const = self._log_weights - 0.5 * self.means.shape[1] * np.log(2 * np.pi * v)
+            v.flags.writeable = const.flags.writeable = False
+            object.__setattr__(self, "_sigma_cache", (sigma, v, const))
+        return v, const
 
     def _component_logliks(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """log w_k + log N(x; mu_k, (v_k + sigma^2) I), x shaped (..., d).
@@ -125,8 +144,7 @@ class MixturePrior:
         is a single matmul rather than a (K, d) difference tensor. Returns a
         fresh array that the caller may overwrite.
         """
-        v = self.variances + sigma**2  # (K,)
-        d = self.means.shape[1]
+        v, const = self._sigma_terms(sigma)
         x_sq = np.einsum("...d,...d->...", x, x)  # (...,)
         ll = x @ self.means.T  # (..., K), reused in place below
         ll *= -2.0
@@ -135,7 +153,6 @@ class MixturePrior:
         np.maximum(ll, 0.0, out=ll)
         ll *= 0.5
         ll /= v
-        const = self._log_weights - 0.5 * d * np.log(2 * np.pi * v)
         return np.subtract(const, ll, out=ll)
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -176,13 +193,26 @@ def mixture_score(prior: MixturePrior, x: np.ndarray, sigma: float) -> np.ndarra
         raise ShapeError(
             f"x has length {x.shape[-1]}, prior expects {prior.means.shape[1]}"
         )
-    v = prior.variances + sigma**2  # (K,)
     rv = prior._component_logliks(x, sigma)  # (..., K), turned into r_k / v_k
+    v, _ = prior._sigma_terms(sigma)
     _exp_shifted(rv)
     rv /= rv.sum(axis=-1, keepdims=True)
     rv /= v
-    # score = -sum_k r_k (x - mu_k) / v_k, without forming the (K, d) tensor
-    out = rv @ prior.means
+    # score = -sum_k r_k (x - mu_k) / v_k, without forming the (K, d) tensor.
+    # A weight whose exp underflowed is exactly 0 and adds exactly nothing,
+    # so the second pass may read only the live components: those with a
+    # nonzero weight in some row. Subnormal weights stay live. The weights are
+    # nonnegative, so a column sum is 0 only where every row's weight is 0.
+    k = rv.shape[-1]
+    live = np.flatnonzero(rv if rv.ndim == 1 else rv.reshape(-1, k).sum(axis=0))
+    if 3 * live.size > k:
+        # gathering m live rows reads and writes them before the product
+        # reads them again, 3m rows of traffic against K for the dense
+        # product: it pays only while 3m <= K
+        out = rv @ prior.means
+    else:
+        # np.dot, not @: with one live component @ would skip BLAS
+        out = np.dot(rv[..., live], prior.means[live])
     out -= x * rv.sum(axis=-1)[..., None]
     return out
 
@@ -274,7 +304,11 @@ def load_exemplar_bank(path) -> np.ndarray:
         wavs = sorted(p.glob("*.wav"))
         if not wavs:
             raise ConfigurationError(f"no WAV files in {p}")
-        segs = [read_wav(w).samples for w in wavs]
+        waves = [read_wav(w) for w in wavs]
+        rates = sorted({w.sample_rate for w in waves})
+        if len(rates) != 1:
+            raise ConfigurationError(f"bank WAV files in {p} mix sample rates {rates}")
+        segs = [w.samples for w in waves]
         lengths = {len(s) for s in segs}
         if len(lengths) != 1:
             raise ShapeError("bank WAV segments must share length")

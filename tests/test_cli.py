@@ -114,6 +114,29 @@ class TestSeparateCommand:
         ])
         assert code == 2
 
+    def test_mixed_rate_bank_exit_code(self, scenario_dir, tmp_path):
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "a.wav", Waveform(np.zeros(2048) + 0.1, 8000))
+        write_wav(bank_dir / "b.wav", Waveform(np.zeros(2048) + 0.1, 16000))
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav",
+            "--bank", bank_dir, "--segment", 2048, "--out", tmp_path / "sep",
+        ])
+        assert code == 2
+
+    def test_degenerate_overlap_exit_code(self, scenario_dir, tmp_path):
+        # at L = 2048 an overlap of 0.9999 rounds the hop to 0
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.zeros(2048) + 0.1, 8000))
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav",
+            "--bank", bank_dir, "--segment", 2048, "--overlap", 0.9999,
+            "--out", tmp_path / "sep",
+        ])
+        assert code == 2
+
     def test_malformed_bank_exit_code(self, scenario_dir, tmp_path):
         bank = tmp_path / "bank.bin"
         bank.write_bytes(b"XBNK\x02\x00")  # header cut short
@@ -262,6 +285,21 @@ class TestSweep:
             sweep(SweepSpec(modes=["nmf"], overlaps=[0.5], seeds=[0], scenario="bogus"))
         with pytest.raises(ConfigurationError):
             sweep(SweepSpec(modes=["nmf"], overlaps=[0.5, 1.0], seeds=[0]))
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--steps", 0), ("--best-of", 0), ("--duration", 0.0), ("--duration", -1.0),
+         ("--duration", "nan"), ("--segment", 0), ("--overlaps", 0.9999)],
+    )
+    def test_bad_numeric_setting_exit_code(self, tmp_path, monkeypatch, flag, value):
+        # a malformed number fails before any case is rendered, with exit 2
+        rendered = []
+        monkeypatch.setattr(bench, "build_case", lambda *a, **k: rendered.append(a))
+        argv = ["sweep", "--modes", "segmented", "--seeds", 0, "--duration", 2.5,
+                "--segment", 2048, flag, value, "--out", tmp_path / "o"]
+        assert run(argv) == 2
+        assert rendered == []
+        assert not (tmp_path / "o").exists()
 
     def test_nmf_runs_once_per_seed(self, monkeypatch):
         calls = []

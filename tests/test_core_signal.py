@@ -135,3 +135,15 @@ class TestWavIO:
         write_wav(tmp / "x.wav", w, encoding="pcm16")
         back = read_wav(tmp / "x.wav")
         assert np.max(np.abs(back.samples - w.samples)) <= 2**-15
+
+    @given(data=arrays(np.int16, st.integers(1, 64)))
+    @settings(max_examples=25, deadline=None)
+    def test_pcm16_int_roundtrip_property(self, data, tmp_path_factory):
+        from scipy.io import wavfile
+
+        path = tmp_path_factory.mktemp("wav") / "x.wav"
+        w = Waveform(data / 32767.0, 8000)
+        write_wav(path, w, encoding="pcm16")
+        np.testing.assert_array_equal(wavfile.read(path)[1], data)
+        back = read_wav(path)
+        assert np.max(np.abs(back.samples - w.samples)) <= 1 / 32767

@@ -58,6 +58,18 @@ class TestPlanSegments:
         with pytest.raises(ConfigurationError):
             plan_segments(100, 32, -0.1)
 
+    @pytest.mark.parametrize("seg, r", [(2048, 0.9999), (8192, 0.99995), (1, 0.5), (3, 0.9)])
+    def test_hop_rounding_to_zero_rejected(self, seg, r):
+        # the hop would round to 0; it is not clamped up to one sample
+        assert round(seg * (1.0 - r)) == 0
+        with pytest.raises(ConfigurationError):
+            plan_segments(10 * seg, seg, r)
+
+    def test_hop_of_one_sample_accepted(self):
+        # 0.9999 at L = 8192 rounds the hop up to exactly 1, which is valid
+        plan = plan_segments(8192 + 3, 8192, 0.9999)
+        assert plan.hop == 1 and plan.offsets == (0, 1, 2, 3)
+
     def test_invalid_lengths(self):
         with pytest.raises(ConfigurationError):
             plan_segments(100, 0, 0.0)
@@ -71,8 +83,13 @@ class TestPlanSegments:
     )
     @settings(max_examples=60, deadline=None)
     def test_properties(self, n, seg, r):
+        hop = round(seg * (1.0 - r))
+        if hop < 1:
+            with pytest.raises(ConfigurationError):
+                plan_segments(n, seg, r)
+            return
         plan = plan_segments(n, seg, r)
-        assert plan.hop >= 1
+        assert plan.hop == hop >= 1
         assert plan.offsets[0] == 0
         assert plan.offsets[-1] + seg >= n
         if len(plan.offsets) > 1:
@@ -160,6 +177,23 @@ class TestStitch:
         width = min(256, plan.overlap // 4)
         assert np.all(out[0][: junction - width] == 0.0)
         assert np.all(out[0][junction:] == 1.0)
+
+    @given(
+        count=st.integers(1, 6),
+        seg=st.integers(1, 40),
+        sources=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_zero_overlap_is_concatenation(self, count, seg, sources, seed):
+        plan = plan_segments(count * seg, seg, 0.0)
+        assert len(plan.offsets) == count
+        rng = np.random.default_rng(seed)
+        segs = [[rng.normal(size=seg) for _ in range(sources)] for _ in range(count)]
+        out = stitch(segs, plan)
+        assert len(out) == sources
+        for src in range(sources):
+            np.testing.assert_array_equal(out[src], np.concatenate([s[src] for s in segs]))
 
     def test_count_mismatch(self):
         plan = plan_segments(8, 4, 0.0)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from duetsep import (
@@ -30,6 +33,24 @@ def brute_force_score(prior, x, sigma):
     )
     resp = np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))
     return -np.sum((resp / v)[..., None] * diff, axis=-2)
+
+
+def dense_score(prior, x, sigma):
+    """The score with its second pass over every component: rv @ means."""
+    v = prior.variances + sigma**2
+    ll = prior._component_logliks(x, sigma)
+    rv = np.exp(ll - ll.max(axis=-1, keepdims=True))
+    rv /= rv.sum(axis=-1, keepdims=True)
+    rv /= v
+    return rv @ prior.means - x * rv.sum(axis=-1)[..., None]
+
+
+def live_sets(prior, x, sigma):
+    """Per row, the components whose normalised weight is nonzero."""
+    ll = prior._component_logliks(np.atleast_2d(x), sigma)
+    w = np.exp(ll - ll.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    return [set(np.flatnonzero(row)) for row in w]
 
 
 def finite_diff(log_density, x, sigma, eps=1e-5):
@@ -162,6 +183,115 @@ class TestMixtureScore:
         )
 
 
+class TestSparseSecondPass:
+    """The second pass reads only components with a nonzero weight in some
+    row, when at most a third of them are live; an exactly-zero weight adds
+    exactly nothing, so the score is the dense rv @ means product without its
+    zero terms."""
+
+    def check(self, p, x, sigma):
+        got = mixture_score(p, x, sigma)
+        np.testing.assert_allclose(got, brute_force_score(p, x, sigma), rtol=1e-10)
+        np.testing.assert_allclose(got, dense_score(p, x, sigma), rtol=1e-12, atol=0)
+        return got
+
+    @pytest.mark.parametrize("dead", [8, 1], ids=["gathered", "dense"])
+    def test_rows_with_disjoint_live_sets(self, dead):
+        rng = np.random.default_rng(20)
+        a, b = 30.0 * rng.normal(size=(2, 8))
+        near = 0.3 * rng.normal(size=(2, 8))
+        far = 30.0 * rng.normal(size=(dead, 8))
+        means = np.vstack([[a, a + near[0]], far[:1], [b, b + near[1]], far[1:]])
+        k = len(means)
+        p = MixturePrior(np.full(k, 1.0 / k), means, rng.uniform(0.5, 1.5, k))
+        x = np.stack([a, b]) + 0.1 * rng.normal(size=(2, 8))
+        for sigma in (0.0, 1e-3, 0.1):
+            assert live_sets(p, x, sigma) == [{0, 1}, {3, 4}]
+            got = self.check(p, x, sigma)
+            if dead == 1:  # 4 of 6 live: the dense product, bit for bit
+                np.testing.assert_array_equal(got, dense_score(p, x, sigma))
+
+    def test_dense_row_next_to_one_hot_row(self):
+        rng = np.random.default_rng(21)
+        k, d = 5, 8
+        means = 30.0 * rng.normal(size=(k, d))
+        p = kde_prior_from_exemplars(means, bandwidth=1.0)
+        # equidistant from every mean: |x - mu_k|^2 is the same for all k
+        A = 2.0 * (means[1:] - means[0])
+        rhs = np.sum(means[1:] ** 2, axis=1) - np.sum(means[0] ** 2)
+        centre = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        x = np.stack([centre, means[3] + 0.1 * rng.normal(size=d)])
+        for sigma in (0.0, 1e-3):
+            assert live_sets(p, x, sigma) == [set(range(k)), {3}]
+            got = self.check(p, x, sigma)
+            # every component is live, so this is exactly the dense product
+            np.testing.assert_array_equal(got, dense_score(p, x, sigma))
+            np.testing.assert_array_equal(got[1], mixture_score(p, x[1], sigma))
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 6)])
+    def test_single_component(self, shape):
+        rng = np.random.default_rng(22)
+        p = MixturePrior(np.array([1.0]), rng.normal(size=(1, 6)), np.array([0.7]))
+        x = rng.normal(size=shape)
+        for sigma in (0.0, 0.5):
+            got = self.check(p, x, sigma)
+            np.testing.assert_allclose(got, -(x - p.means[0]) / (0.7 + sigma**2), rtol=1e-12)
+
+    def test_subnormal_weight_stays_live(self):
+        # component 1 sits 720 nats below component 0: exp(-720) ~ 2e-313 is
+        # subnormal but not 0; components 2-5 underflow to exactly 0
+        m = np.sqrt(1440.0)
+        far = [[-200.0 - 50.0 * j, 0.0] for j in range(4)]
+        p = MixturePrior(
+            np.full(6, 1.0 / 6), np.array([[0.0, 0.0], [m, 0.0], *far]), np.ones(6)
+        )
+        x = np.array([[0.0, 0.5]])
+        ll = p._component_logliks(x, 0.0)[0]
+        w = np.exp(ll - ll.max())
+        w /= w.sum()
+        assert 0.0 < w[1] < np.finfo(np.float64).tiny and np.all(w[2:] == 0.0)
+        assert live_sets(p, x, 0.0) == [{0, 1}]
+        got = self.check(p, x, 0.0)
+        # the first coordinate is the subnormal weight's whole contribution
+        assert 0.0 < got[0, 0] < np.finfo(np.float64).tiny
+        assert got[0, 0] == w[1] * m
+
+    def test_all_live_fallback(self):
+        rng = np.random.default_rng(23)
+        p = TestMixtureScore().random_prior(rng)
+        x = rng.normal(size=(4, 8))
+        assert live_sets(p, x, 2.0) == [set(range(5))] * 4
+        got = self.check(p, x, 2.0)
+        np.testing.assert_array_equal(got, dense_score(p, x, 2.0))
+
+    def test_sigma_terms_never_stale(self):
+        rng = np.random.default_rng(24)
+        p = TestMixtureScore().random_prior(rng)
+        p = MixturePrior(p.weights, 5.0 * p.means, p.variances)
+        x = p.means[[1, 3]] + 0.2 * rng.normal(size=(2, 8))
+        s1, s2 = 1e-3, 0.8
+        for sigma in (s1, s2, s1, s1, s2):
+            fresh = MixturePrior(p.weights, p.means, p.variances)
+            np.testing.assert_array_equal(mixture_score(p, x, sigma), mixture_score(fresh, x, sigma))
+            np.testing.assert_array_equal(
+                p.log_density(x[0], sigma), fresh.log_density(x[0], sigma)
+            )
+
+    def test_log_density_unchanged(self):
+        rng = np.random.default_rng(25)
+        p = TestMixtureScore().random_prior(rng)
+        x = rng.normal(size=8)
+        for sigma in (0.0, 0.3, 0.0, 2.0):
+            mixture_score(p, rng.normal(size=(2, 8)), 1.1)  # another sigma in between
+            v = p.variances + sigma**2
+            ll = (
+                np.log(p.weights)
+                - 0.5 * 8 * np.log(2 * np.pi * v)
+                - 0.5 * np.sum((x - p.means) ** 2, axis=-1) / v
+            )
+            assert p.log_density(x, sigma) == pytest.approx(logsumexp(ll), rel=1e-12)
+
+
 class TestKdePrior:
     def test_single_exemplar(self):
         p = kde_prior_from_exemplars([np.array([1.0, 2.0])], bandwidth=0.5)
@@ -236,6 +366,21 @@ class TestBankIO:
         back = load_exemplar_bank(tmp_path / "bank.bin")
         np.testing.assert_array_equal(back, bank)
 
+    @given(
+        bank=arrays(
+            np.float32,
+            st.tuples(st.integers(1, 6), st.integers(1, 40)),
+            elements=st.floats(allow_nan=False, allow_infinity=False, width=32),
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_binary_roundtrip_property(self, bank, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bank") / "bank.bin"
+        save_exemplar_bank(path, bank.astype(np.float64))
+        back = load_exemplar_bank(path)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, bank.astype(np.float64))
+
     def test_wav_directory(self, tmp_path):
         rng = np.random.default_rng(7)
         for i in range(3):
@@ -243,6 +388,12 @@ class TestBankIO:
             write_wav(tmp_path / f"seg{i}.wav", w)
         bank = load_exemplar_bank(tmp_path)
         assert bank.shape == (3, 32)
+
+    def test_wav_directory_mixed_rates_rejected(self, tmp_path):
+        write_wav(tmp_path / "a.wav", Waveform(np.full(32, 0.1), 8000))
+        write_wav(tmp_path / "b.wav", Waveform(np.full(32, 0.1), 16000))
+        with pytest.raises(ConfigurationError, match="sample rates"):
+            load_exemplar_bank(tmp_path)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
