@@ -48,12 +48,11 @@ from .posterior_sampler import (
     sample_posterior,
     sample_prior,
 )
-from .schedule import NoiseSchedule, TimeGrid, make_grid, sigma_at
+from .schedule import NoiseSchedule, TimeGrid, make_grid
 from .score_models import (
     GaussianPrior,
     MixturePrior,
     TiledScoreModel,
-    denoiser_to_score,
     gaussian_score,
     kde_prior_from_exemplars,
     load_exemplar_bank,

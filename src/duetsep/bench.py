@@ -93,11 +93,10 @@ def build_case(
     seed: int,
     kind: ScenarioKind = ScenarioKind.CROSSING,
     duration: float = 4.0,
-    sample_rate: int = BENCH_RATE,
     segment_length: int = BENCH_SEGMENT,
 ) -> BenchmarkCase:
-    """Render one scenario and prepare the exemplar material."""
-    scenario, (v1, v2), mixture = render_duet(kind, duration, seed, sample_rate)
+    """Render one scenario at BENCH_RATE and prepare the exemplar material."""
+    scenario, (v1, v2), mixture = render_duet(kind, duration, seed)
     problem = MixtureProblem(mixture, MixingModel(sources=2))
 
     # pad materials to the segment grid so slices line up with plan offsets
@@ -111,7 +110,7 @@ def build_case(
 
     materials = [pad(v1.samples), pad(v2.samples)]
     prototypes = identity_prototypes(
-        list(scenario.singers), SWITCH_FRAME, sample_rate, seed=7
+        list(scenario.singers), SWITCH_FRAME, BENCH_RATE, seed=7
     )
     return BenchmarkCase(
         scenario=scenario,
@@ -149,13 +148,13 @@ def run_mode(
     steps: int = 100,
     best_of_k: int = 3,
     seed: int = 0,
-    schedule: NoiseSchedule = DEFAULT_SCHEDULE,
 ) -> BenchRow:
-    """Run one separation strategy on the case and score it."""
+    """Run one separation strategy on the case under DEFAULT_SCHEDULE and
+    score it."""
     config = SeparationConfig(
         mode=mode,
         plan=plan_segments(len(case.mixture), case.segment_length, overlap_ratio),
-        grid=make_grid(schedule, steps),
+        grid=make_grid(DEFAULT_SCHEDULE, steps),
         integrator=Integrator.HEUN,
         seed=seed,
         best_of_k=best_of_k,

@@ -118,7 +118,7 @@ def _cmd_separate(args) -> int:
     references = [read_wav(p) for p in args.refs] if args.refs else None
     n_sources = len(references) if references else args.sources
     exemplars = load_exemplar_bank(args.bank)
-    bandwidth = args.bandwidth or default_kde_bandwidth(exemplars)
+    bandwidth = default_kde_bandwidth(exemplars) if args.bandwidth is None else args.bandwidth
     problem = MixtureProblem(mixture, MixingModel(sources=n_sources))
     schedule = NoiseSchedule(sigma_min=args.sigma_min, sigma_max=args.sigma_max)
     config = SeparationConfig(
@@ -208,11 +208,19 @@ def _cmd_sweep(args) -> int:
     file_cfg = load_config(args.config) if args.config else {}
     given = {}
     for name, parse in _SWEEP_FIELDS.items():
+        # argparse has typed the numeric flags already, so only a list flag
+        # or a config line can fail to parse here
         flag_value = getattr(args, name)
         if flag_value is not None:
-            given[name] = parse(flag_value)
+            origin, text = f"--{name}", flag_value
         elif f"sweep.{name}" in file_cfg:
-            given[name] = parse(file_cfg[f"sweep.{name}"])
+            origin, text = f"{args.config}: sweep.{name}", file_cfg[f"sweep.{name}"]
+        else:
+            continue
+        try:
+            given[name] = parse(text)
+        except ValueError as exc:
+            raise ConfigurationError(f"{origin}: {exc}") from exc
     spec = bench.SweepSpec(**given)
     report = bench.sweep(spec, workers=args.workers)
     out_dir = Path(spec.out)

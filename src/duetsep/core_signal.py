@@ -47,23 +47,16 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class MixingModel:
-    """N sources summed sample by sample into one channel, plus optional noise."""
+    """N sources summed sample by sample into one channel, without noise."""
 
     sources: int = 2
-    noise_variance: float = 0.0
 
     def __post_init__(self):
         if self.sources < 2:
             raise ConfigurationError("separation problems need at least 2 sources")
-        if self.noise_variance < 0:
-            raise ConfigurationError("noise_variance must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -76,16 +69,8 @@ class MixtureProblem:
             raise ShapeError("mixture must be nonempty")
 
 
-def mix(
-    sources: Sequence[Waveform],
-    mixing: MixingModel,
-    noise_seed: int = 0,
-) -> Waveform:
-    """Combine sources under the mixing model, optionally adding Gaussian noise.
-
-    With noise_variance = 0 the output is the exact sample-wise sum. The noise
-    is drawn from noise_seed, so equal arguments give equal mixtures.
-    """
+def mix(sources: Sequence[Waveform], mixing: MixingModel) -> Waveform:
+    """The exact sample-wise sum of the sources."""
     if len(sources) != mixing.sources:
         raise ConfigurationError(
             f"expected {mixing.sources} sources, got {len(sources)}"
@@ -96,15 +81,16 @@ def mix(
             raise ShapeError("sources must share length")
         if s.sample_rate != first.sample_rate:
             raise ShapeError("sources must share sample_rate")
-    out = np.sum([s.samples for s in sources], axis=0)
-    if mixing.noise_variance > 0:
-        rng = np.random.default_rng(noise_seed)
-        out = out + rng.normal(0.0, np.sqrt(mixing.noise_variance), size=out.shape)
-    return Waveform(out, first.sample_rate)
+    return Waveform(np.sum([s.samples for s in sources], axis=0), first.sample_rate)
 
 
 def read_wav(path) -> Waveform:
-    """Read a mono PCM16 or float32 WAV file."""
+    """Read a mono PCM16, int32 or float WAV file as samples in about [-1, 1].
+
+    int16 divides by 32767, the inverse of write_wav's pcm16 scaling, so a
+    pcm16 file written here reads back to within 1/32767. int32 divides by
+    2^31, the full-scale convention of files written elsewhere.
+    """
     try:
         rate, data = wavfile.read(os.fspath(path))
     except ValueError as exc:

@@ -132,6 +132,8 @@ def nmf_fit(
         raise DomainError("V must be nonnegative")
     if rank < 1:
         raise ConfigurationError("rank must be >= 1")
+    if iterations < 0:
+        raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
     bins, frames = V.shape
     rng = np.random.default_rng(seed)
     W = (
@@ -315,14 +317,13 @@ def separate_nmf(
         cands = pitch_candidates(mix, fmin, fmax, frame_size, hop_size)
     except (DomainError, ConfigurationError):
         cands = []
-    have_pitch = any(cands[j] for j in range(len(cands))) if cands else False
+    have_pitch = any(cands)
     src_map = tuple(s for s in range(n_sources) for _ in range(components_per_source))
     if not have_pitch:
         model = nmf_fit(V, rank, iterations, seed=seed, source_of_component=src_map)
         used_random = True
     else:
         tracks = _track_candidates(cands, n_sources)
-        n_spec_frames = frames
         W = np.full((bins, rank), EPS)
         H = np.full((rank, frames), EPS)
         for s in range(n_sources):
@@ -339,27 +340,24 @@ def separate_nmf(
                 comp = s * components_per_source + c
                 W[:, comp] = _harmonic_template(float(f0), bins, mix.sample_rate, frame_size)
                 # activate where the track sits near this template's pitch
-                track = tracks[s][: n_spec_frames]
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    near = np.abs(np.log(track / f0)) < np.log(2) / 6  # within ~2 semitones
-                active = np.where(np.nan_to_num(near, nan=False))[0]
-                H[comp, active] = 1.0
+                    near = np.abs(np.log(tracks[s] / f0)) < np.log(2) / 6  # within ~2 semitones
+                H[comp, np.flatnonzero(near)] = 1.0
             H[s * components_per_source : (s + 1) * components_per_source] += 0.01
         model = nmf_fit(
             V, rank, iterations, seed=seed, init_W=W, init_H=H, source_of_component=src_map
         )
         used_random = False
     WH = np.maximum(model.W @ model.H, EPS)
-    complex_spec = spec.complex
     sources = []
     for s in range(n_sources):
         comps = [c for c, owner in enumerate(model.source_of_component) if owner == s]
         Vs = model.W[:, comps] @ model.H[comps, :]
-        mask = Vs / WH
-        masked = complex_spec * mask
+        # the Wiener mask is real and nonnegative: it scales the magnitudes
+        # and keeps the mixture's phases
         sub = Spectrogram(
-            magnitudes=np.abs(masked),
-            phases=np.angle(masked),
+            magnitudes=spec.magnitudes * (Vs / WH),
+            phases=spec.phases,
             frame_size=frame_size,
             hop_size=hop_size,
             sample_rate=mix.sample_rate,

@@ -219,32 +219,30 @@ def stitch(segments: Sequence[Sequence[np.ndarray]], plan: SegmentPlan) -> List[
 
     The earlier segment owns each overlap, with a linear crossfade of width
     min(256, overlap//4) ending at the overlap boundary, after which the later
-    segment takes over. overlap 0 reduces to concatenation.
+    segment takes over. overlap 0 reduces to concatenation. All sources are
+    written at once, as the rows of one (N, padded_length) array.
     """
     if len(segments) != len(plan.offsets):
         raise ShapeError("segment count does not match the plan")
     n_sources = len(segments[0])
-    out = [np.zeros(plan.padded_length) for _ in range(n_sources)]
-    for src in range(n_sources):
-        prev_end = 0
-        for j, off in enumerate(plan.offsets):
-            seg = np.asarray(segments[j][src], dtype=np.float64)
-            if seg.shape[0] != plan.segment_length:
-                raise ShapeError("segment output length does not match the plan")
-            if j == 0:
-                out[src][off : off + plan.segment_length] = seg
-            else:
-                overlap = prev_end - off
-                junction = prev_end
-                width = min(CROSSFADE_MAX, max(overlap // 4, 0))
-                lo = max(junction - width, off)
-                hi = junction
-                if hi > lo:
-                    ramp = np.linspace(0.0, 1.0, hi - lo)
-                    out[src][lo:hi] = (1 - ramp) * out[src][lo:hi] + ramp * seg[lo - off : hi - off]
-                out[src][hi : off + plan.segment_length] = seg[hi - off :]
-            prev_end = off + plan.segment_length
-    return out
+    out = np.zeros((n_sources, plan.padded_length))
+    prev_end = plan.offsets[0]  # the first segment has nothing to fade into
+    for off, sources in zip(plan.offsets, segments):
+        if len(sources) != n_sources or any(
+            np.shape(s) != (plan.segment_length,) for s in sources
+        ):
+            raise ShapeError("segment output length does not match the plan")
+        seg = np.asarray(sources, dtype=np.float64)
+        width = min(CROSSFADE_MAX, max((prev_end - off) // 4, 0))
+        lo = max(prev_end - width, off)
+        if prev_end > lo:
+            ramp = np.linspace(0.0, 1.0, prev_end - lo)
+            out[:, lo:prev_end] = (
+                (1 - ramp) * out[:, lo:prev_end] + ramp * seg[:, lo - off : prev_end - off]
+            )
+        out[:, prev_end : off + plan.segment_length] = seg[:, prev_end - off :]
+        prev_end = off + plan.segment_length
+    return list(out)
 
 
 def _segment_slice(x: np.ndarray, offset: int, length: int) -> np.ndarray:
@@ -309,7 +307,6 @@ def separate(
     records: List[SegmentRecord] = []
     seg_outputs: List[List[np.ndarray]] = []
     prev_chosen: Optional[List[np.ndarray]] = None
-    prev_offset = 0
     for j, off in enumerate(plan.offsets):
         seg_mix = _segment_slice(mixture, off, plan.segment_length)
         seg_refs = (
@@ -327,7 +324,9 @@ def separate(
                     values = seg_refs[src].copy()
                 else:
                     values = np.zeros(plan.segment_length)
-                    values[:overlap] = prev_chosen[src][off - prev_offset : off - prev_offset + overlap]
+                    # offsets step by the hop, so the previous segment's
+                    # last `overlap` samples sit under this one's first
+                    values[:overlap] = prev_chosen[src][plan.hop :]
                 conditions.append(InpaintCondition(mask=mask, values=values))
         seg_problem = MixtureProblem(Waveform(seg_mix, rate), problem.mixing)
         seeds = [_candidate_seed(config.seed, j, c) for c in range(config.best_of_k)]
@@ -346,7 +345,6 @@ def separate(
         records.append(SegmentRecord(j, idx, score, perm, seeds[idx]))
         seg_outputs.append(chosen)
         prev_chosen = chosen
-        prev_offset = off
 
     stitched = stitch(seg_outputs, plan)
     sources = [Waveform(s[: len(mixture)], rate) for s in stitched]

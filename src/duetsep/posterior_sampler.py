@@ -70,7 +70,7 @@ def apply_inpaint(
     state: np.ndarray,
     condition: InpaintCondition,
     sigma: float,
-    rng: int | np.random.Generator,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Overwrite masked positions with values + sigma * eps; rest untouched."""
     state = np.asarray(state, dtype=np.float64)
@@ -78,10 +78,9 @@ def apply_inpaint(
         raise ShapeError("condition does not match state length")
     if not np.any(condition.mask):
         return state.copy()
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     out = state.copy()
     m = condition.mask
-    noise = gen.standard_normal(int(m.sum())) if sigma > 0 else 0.0
+    noise = rng.standard_normal(int(m.sum())) if sigma > 0 else 0.0
     out[m] = condition.values[m] + sigma * noise
     return out
 

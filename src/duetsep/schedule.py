@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
-__all__ = ["NoiseSchedule", "TimeGrid", "sigma_at", "make_grid"]
+__all__ = ["NoiseSchedule", "TimeGrid", "make_grid"]
 
 
 @dataclass(frozen=True)
@@ -46,24 +46,13 @@ class TimeGrid:
         object.__setattr__(self, "sigmas", sigmas)
 
 
-def _sigma(schedule: NoiseSchedule, t):
-    """sigma_min^(1-t) * sigma_max^t, for a float or an array of times."""
-    return schedule.sigma_min ** (1.0 - t) * schedule.sigma_max**t
-
-
-def sigma_at(schedule: NoiseSchedule, t: float) -> float:
-    """Evaluate sigma(t) for t in [0, 1]."""
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"t must lie in [0, 1], got {t}")
-    return float(_sigma(schedule, t))
-
-
 def make_grid(schedule: NoiseSchedule, steps: int) -> TimeGrid:
-    """Uniform time grid from t = 1 down to t = 0 (steps + 1 nodes)."""
+    """Uniform time grid from t = 1 down to t = 0 (steps + 1 nodes), with
+    sigma(t) = sigma_min^(1-t) * sigma_max^t at each node."""
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     times = np.linspace(1.0, 0.0, steps + 1)
-    sigmas = _sigma(schedule, times)
+    sigmas = schedule.sigma_min ** (1.0 - times) * schedule.sigma_max**times
     # pin the endpoints exactly
     sigmas[0] = schedule.sigma_max
     sigmas[-1] = schedule.sigma_min

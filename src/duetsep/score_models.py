@@ -2,8 +2,8 @@
 
 These analytic models replace a trained denoiser network: every model exposes
 score(x, sigma) = grad_x log p_sigma(x) where p_sigma is the prior convolved
-with isotropic Gaussian noise of scale sigma, plus log_density for oracle
-checks by finite differences.
+with isotropic Gaussian noise of scale sigma. The Gaussian and mixture priors
+also expose log_density, for oracle checks by finite differences.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "mixture_score",
     "kde_prior_from_exemplars",
     "default_kde_bandwidth",
-    "denoiser_to_score",
     "load_exemplar_bank",
     "save_exemplar_bank",
 ]
@@ -36,7 +35,6 @@ __all__ = [
 _BANK_MAGIC = b"XBNK"
 
 
-@runtime_checkable
 class ScoreModel(Protocol):
     native_length: Optional[int]
 
@@ -234,25 +232,14 @@ def kde_prior_from_exemplars(
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ShapeError("exemplars must share a uniform length")
-    if bandwidth <= 0:
-        raise ConfigurationError("bandwidth must be positive")
+    if not bandwidth > 0:  # NaN fails too
+        raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
     k = arr.shape[0]
     return MixturePrior(
         weights=np.full(k, 1.0 / k),
         means=arr,
         variances=np.full(k, bandwidth**2),
     )
-
-
-def denoiser_to_score(denoised: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Tweedie conversion: score = (denoised - x) / sigma^2. Requires sigma > 0."""
-    if sigma <= 0:
-        raise DomainError("sigma must be positive for denoiser conversion")
-    denoised = np.asarray(denoised, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if denoised.shape != x.shape:
-        raise ShapeError("denoised and x must share shape")
-    return (denoised - x) / sigma**2
 
 
 class TiledScoreModel:
@@ -279,11 +266,6 @@ class TiledScoreModel:
         blocks = x.reshape(-1, self.block)
         out = self.base.score(blocks, sigma)
         return np.asarray(out).reshape(x.shape)
-
-    def log_density(self, x: np.ndarray, sigma: float) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        blocks = x.reshape(-1, self.block)
-        return float(sum(self.base.log_density(b, sigma) for b in blocks))
 
 
 def save_exemplar_bank(path, exemplars: np.ndarray) -> None:

@@ -122,6 +122,8 @@ def render_voice(
     seed: int = 0,
 ) -> Waveform:
     """Additive harmonic synthesis of one voice, peak-normalized to 0.5."""
+    if sample_rate < 1:
+        raise ConfigurationError(f"sample_rate must be positive, got {sample_rate}")
     if duration <= 0:
         raise DomainError("duration must be positive")
     n = int(round(duration * sample_rate))
@@ -189,8 +191,10 @@ def _crossing_times(a: Contour, b: Contour, duration: float) -> Tuple[float, ...
 
 def make_scenario(kind: ScenarioKind, duration: float, seed: int = 0) -> DuetScenario:
     """Build a two-voice scenario of the requested stress type."""
-    if duration < 2.0:
-        raise ConfigurationError("scenario duration must be at least 2 s")
+    if not 2.0 <= duration < np.inf:  # NaN fails too
+        raise ConfigurationError(
+            f"scenario duration must be finite and at least 2 s, got {duration}"
+        )
     rng = np.random.default_rng(seed)
     if kind is ScenarioKind.CROSSING:
         # one contour descends across the other's ascent at least once

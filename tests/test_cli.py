@@ -71,6 +71,14 @@ class TestSynthCommand:
     def test_bad_duration_exit_code(self, tmp_path):
         assert run(["synth", "--duration", 0.5, "--out", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--rate", 0), ("--rate", -5), ("--duration", "nan")]
+    )
+    def test_malformed_flag_exit_code(self, tmp_path, flag, value):
+        out = tmp_path / "x"
+        assert run(["synth", flag, value, "--out", out]) == 2
+        assert not (out / "mixture.wav").exists()
+
 
 class TestSeparateCommand:
     def test_end_to_end(self, scenario_dir, tmp_path):
@@ -137,6 +145,23 @@ class TestSeparateCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--bandwidth", 0), ("--bandwidth", "nan"), ("--steps", 0), ("--best-of", 0),
+         ("--sigma-min", 0), ("--sources", 1)],
+    )
+    def test_malformed_flag_exit_code(self, scenario_dir, tmp_path, flag, value):
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 2048), 8000))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
+            "--segment", 2048, "--steps", 2, "--best-of", 1, flag, value, "--out", out,
+        ])
+        assert code == 2
+        assert not (out / "source1.wav").exists()
+
     def test_malformed_bank_exit_code(self, scenario_dir, tmp_path):
         bank = tmp_path / "bank.bin"
         bank.write_bytes(b"XBNK\x02\x00")  # header cut short
@@ -163,6 +188,14 @@ class TestNmfCommand:
         assert (out / "source1.wav").exists() and (out / "source2.wav").exists()
         meta = json.loads((out / "nmf.json").read_text())
         assert "used_random_init" in meta
+
+    @pytest.mark.parametrize("flag, value", [("--iters", -3), ("--components", 0)])
+    def test_malformed_flag_exit_code(self, scenario_dir, tmp_path, flag, value):
+        out = tmp_path / "nmf"
+        code = run(["nmf", "--mixture", scenario_dir / "mixture.wav", "--iters", 5,
+                    flag, value, "--out", out])
+        assert code == 2
+        assert not (out / "source1.wav").exists()
 
 
 class TestEvalCommand:
@@ -299,6 +332,22 @@ class TestSweep:
                 "--segment", 2048, flag, value, "--out", tmp_path / "o"]
         assert run(argv) == 2
         assert rendered == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, named",
+        [(["--seeds", "1.5"], None, "--seeds"),
+         (["--overlaps", "0.5 x"], None, "--overlaps"),
+         ([], "sweep.steps = abc\n", "sweep.steps")],
+        ids=["seeds-flag", "overlaps-flag", "steps-key"],
+    )
+    def test_unparsable_value_exit_code(self, tmp_path, capsys, argv, config, named):
+        # a value that does not parse exits 2 and names its flag or key
+        if config is not None:
+            (tmp_path / "s.cfg").write_text(config)
+            argv = argv + ["--config", tmp_path / "s.cfg"]
+        assert run(["sweep", "--modes", "nmf", *argv, "--out", tmp_path / "o"]) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_nmf_runs_once_per_seed(self, monkeypatch):

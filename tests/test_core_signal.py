@@ -56,16 +56,6 @@ class TestMix:
         out = mix([s1, s2], MixingModel(sources=2))
         assert np.max(np.abs(out.samples - s1.samples - s2.samples)) < 1e-12
 
-    def test_noise_is_seeded(self):
-        s = wf(np.zeros(64))
-        m = MixingModel(sources=2, noise_variance=0.1)
-        a = mix([s, s], m, noise_seed=7)
-        b = mix([s, s], m, noise_seed=7)
-        c = mix([s, s], m, noise_seed=8)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
-        np.testing.assert_array_equal(mix([s, s], m).samples, mix([s, s], m).samples)
-
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             mix([wf(np.zeros(4)), wf(np.zeros(5))], MixingModel(sources=2))

@@ -195,6 +195,25 @@ class TestStitch:
         for src in range(sources):
             np.testing.assert_array_equal(out[src], np.concatenate([s[src] for s in segs]))
 
+    @given(
+        seg=st.integers(6, 299),
+        overlap=st.floats(0.0, 0.9),
+        extra=st.integers(0, 600),
+        sources=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agreeing_segments_rebuild_the_signal(self, seg, overlap, extra, sources, seed):
+        # where neighbouring segments agree, each crossfade blends two equal
+        # values convexly, so every source comes back to rounding
+        plan = plan_segments(seg + extra, seg, overlap)
+        full = np.random.default_rng(seed).normal(size=(sources, plan.padded_length))
+        segs = [[x[off : off + seg] for x in full] for off in plan.offsets]
+        out = stitch(segs, plan)
+        assert len(out) == sources
+        for got, want in zip(out, full):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
     def test_count_mismatch(self):
         plan = plan_segments(8, 4, 0.0)
         with pytest.raises(ShapeError):

@@ -161,7 +161,7 @@ class TestApplyInpaint:
     def test_empty_mask_is_identity(self):
         x = np.arange(5.0)
         cond = InpaintCondition(mask=np.zeros(5, bool), values=np.zeros(5))
-        out = apply_inpaint(x, cond, 1.0, 0)
+        out = apply_inpaint(x, cond, 1.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out, x)
         assert out is not x
 
@@ -169,7 +169,7 @@ class TestApplyInpaint:
         x = np.zeros(6)
         vals = np.arange(6.0)
         mask = np.array([1, 1, 0, 0, 1, 0], bool)
-        out = apply_inpaint(x, cond := InpaintCondition(mask, vals), 0.0, 0)
+        out = apply_inpaint(x, InpaintCondition(mask, vals), 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out[mask], vals[mask])
         np.testing.assert_array_equal(out[~mask], 0.0)
 
@@ -192,7 +192,7 @@ class TestApplyInpaint:
     def test_mask_shape_mismatch(self):
         cond = InpaintCondition(np.ones(4, bool), np.zeros(4))
         with pytest.raises(ShapeError):
-            apply_inpaint(np.zeros(5), cond, 0.1, 0)
+            apply_inpaint(np.zeros(5), cond, 0.1, np.random.default_rng(0))
 
     def test_condition_shape_validation(self):
         with pytest.raises(ShapeError):

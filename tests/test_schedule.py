@@ -1,27 +1,20 @@
 import numpy as np
 import pytest
 
-from duetsep import NoiseSchedule, make_grid, sigma_at
-from duetsep.errors import ConfigurationError, DomainError
+from duetsep import NoiseSchedule, make_grid
+from duetsep.errors import ConfigurationError
 
 
 def test_endpoints():
-    sch = NoiseSchedule(0.01, 10.0)
-    assert sigma_at(sch, 0.0) == pytest.approx(0.01)
-    assert sigma_at(sch, 1.0) == pytest.approx(10.0)
+    grid = make_grid(NoiseSchedule(0.01, 10.0), 4)
+    assert grid.sigmas[-1] == pytest.approx(0.01)
+    assert grid.sigmas[0] == pytest.approx(10.0)
 
 
 def test_geometric_mean_at_half():
-    sch = NoiseSchedule(0.01, 10.0)
-    assert sigma_at(sch, 0.5) == pytest.approx(np.sqrt(0.01 * 10.0), rel=1e-12)
-
-
-def test_domain_error():
-    sch = NoiseSchedule()
-    with pytest.raises(DomainError):
-        sigma_at(sch, 1.5)
-    with pytest.raises(DomainError):
-        sigma_at(sch, -0.1)
+    grid = make_grid(NoiseSchedule(0.01, 10.0), 2)
+    assert grid.times[1] == 0.5
+    assert grid.sigmas[1] == pytest.approx(np.sqrt(0.01 * 10.0), rel=1e-12)
 
 
 def test_invalid_schedule():
@@ -57,7 +50,10 @@ def test_zero_steps_rejected():
 
 
 def test_monotone_in_t():
-    sch = NoiseSchedule(0.05, 3.0)
-    ts = np.linspace(0, 1, 50)
-    vals = [sigma_at(sch, t) for t in ts]
-    assert np.all(np.diff(vals) > 0)
+    grid = make_grid(NoiseSchedule(0.05, 3.0), 49)
+    # times descend from 1 to 0, so sigma must descend with them
+    assert np.all(np.diff(grid.sigmas) < 0)
+    # each node is sigma_min^(1-t) * sigma_max^t
+    np.testing.assert_allclose(
+        grid.sigmas, 0.05 ** (1 - grid.times) * 3.0**grid.times, rtol=1e-14
+    )

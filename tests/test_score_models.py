@@ -10,7 +10,6 @@ from duetsep import (
     MixturePrior,
     TiledScoreModel,
     Waveform,
-    denoiser_to_score,
     gaussian_score,
     kde_prior_from_exemplars,
     load_exemplar_bank,
@@ -318,28 +317,6 @@ class TestKdePrior:
     def test_default_bandwidth(self):
         ex = np.full((3, 4), 2.0)
         assert default_kde_bandwidth(ex) == pytest.approx(0.2)
-
-
-class TestDenoiserToScore:
-    def test_identity_gives_zero(self):
-        x = np.arange(4.0)
-        np.testing.assert_array_equal(denoiser_to_score(x, x, 0.5), 0.0)
-
-    def test_tweedie_matches_gaussian_score(self):
-        rng = np.random.default_rng(4)
-        p = GaussianPrior(mean=rng.normal(size=5), variance=0.6)
-        x = rng.normal(size=5)
-        sigma = 0.8
-        # posterior-mean denoiser of the Gaussian prior, in closed form
-        v = p.variance
-        denoised = (v * x + sigma**2 * p.mean) / (v + sigma**2)
-        np.testing.assert_allclose(
-            denoiser_to_score(denoised, x, sigma), p.score(x, sigma), atol=1e-12
-        )
-
-    def test_sigma_zero_rejected(self):
-        with pytest.raises(DomainError):
-            denoiser_to_score(np.zeros(2), np.zeros(2), 0.0)
 
 
 class TestTiledModel:
