@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core_signal import MixingModel, MixtureProblem, Waveform, mix
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .metrics import evaluate, identity_switch_rate
 from .nmf import separate_nmf
 from .pipeline import Mode, Selection, SeparationConfig, plan_segments, separate
@@ -47,7 +47,6 @@ __all__ = [
     "run_mode",
     "run_nmf_baseline",
     "sweep",
-    "plot_data",
 ]
 
 SWITCH_FRAME = 512
@@ -212,7 +211,6 @@ class SweepSpec:
     segment: int = BENCH_SEGMENT
     steps: int = 100
     best_of_k: int = 3
-    out: str = "sweep_out"
 
 
 def _sweep_seed(spec: SweepSpec, seed: int) -> List[dict]:
@@ -303,14 +301,14 @@ def sweep(spec: SweepSpec, workers: int = 1) -> dict:
             raise ConfigurationError(f"unknown sweep mode {mode!r}; known: {', '.join(known)}")
     if spec.scenario not in [k.value for k in ScenarioKind]:
         raise ConfigurationError(f"unknown sweep scenario {spec.scenario!r}")
-    for name in ("steps", "best_of_k", "segment"):
-        if getattr(spec, name) < 1:
-            raise ConfigurationError(f"sweep {name} must be >= 1, got {getattr(spec, name)}")
-    if not spec.duration > 0:
-        raise ConfigurationError(f"sweep duration must be positive, got {spec.duration}")
+    # build what the rows build, short of rendering, so that a setting any
+    # row would reject fails here, before any case is rendered
+    for seed in spec.seeds:
+        make_scenario(ScenarioKind(spec.scenario), spec.duration, seed)
+    grid = make_grid(DEFAULT_SCHEDULE, spec.steps)
     for overlap in spec.overlaps:
-        # rejects an overlap outside [0, 1) and one whose hop rounds to 0
-        plan_segments(spec.segment, spec.segment, overlap)
+        plan = plan_segments(spec.segment, spec.segment, overlap)
+        SeparationConfig(mode=Mode.AR, plan=plan, grid=grid, best_of_k=spec.best_of_k)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             per_seed = list(pool.map(_sweep_seed, repeat(spec), spec.seeds))
@@ -347,21 +345,3 @@ def sweep(spec: SweepSpec, workers: int = 1) -> dict:
             _switch_sign_test(rows, spec.seeds, overlap) for overlap in spec.overlaps
         ]
     return report
-
-
-def plot_data(report: dict) -> str:
-    """Columnar text for gnuplot: one block per (mode, overlap) cell."""
-    cells = report.get("cells", [])
-    if not cells:
-        raise DomainError("empty report")
-    lines = []
-    for cell in sorted(cells, key=lambda c: (c["mode"], c["overlap"])):
-        mean = cell["si_sdri_mean"]
-        std = cell["si_sdri_std"]
-        lines.append(f"# mode={cell['mode']} overlap={cell['overlap']}")
-        lines.append(
-            f"{'nan' if mean is None else f'{mean:.6f}'} "
-            f"{'nan' if std is None else f'{std:.6f}'} {cell['n']}"
-        )
-        lines.append("")
-    return "\n".join(lines)

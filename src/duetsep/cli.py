@@ -1,8 +1,8 @@
 """Command-line entry point: synth / separate / nmf / eval / sweep.
 
-Configuration files use dotted key = value lines; command-line flags override
-file values. Exit codes: 0 success, 2 configuration error, 3 runtime or
-numerical error (for sweep: any row that failed).
+`sweep` also reads its arguments from `@file` (one argument per line); later
+arguments override earlier ones. Exit codes: 0 success, 2 configuration
+error, 3 runtime or numerical error (for sweep: any row that failed).
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,54 +32,28 @@ from .score_models import (
 )
 from .synth_bench import ScenarioKind
 
-__all__ = ["main", "load_config"]
+__all__ = ["main"]
 
 
-def _parse_list(text: str, cast):
-    return [cast(part) for part in text.replace(",", " ").split()]
+def _list_of(cast):
+    """argparse type for a space- or comma-separated list of `cast` values."""
 
+    def parse(text: str) -> list:
+        return [cast(part) for part in text.replace(",", " ").split()]
 
-# SweepSpec field -> parser of its text; each field is set by the flag of the
-# same dest or by the config key "sweep.<field>", else SweepSpec's default
-_SWEEP_FIELDS = {
-    "modes": lambda v: _parse_list(v, str),
-    "overlaps": lambda v: _parse_list(v, float),
-    "seeds": lambda v: _parse_list(v, int),
-    "scenario": str,
-    "duration": float,
-    "segment": int,
-    "steps": int,
-    "best_of_k": int,
-    "out": str,
-}
-
-KNOWN_CONFIG_KEYS = {f"sweep.{name}" for name in _SWEEP_FIELDS}
-
-
-def load_config(path) -> Dict[str, str]:
-    """Parse a dotted key = value config file; unknown keys are rejected."""
-    out: Dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_CONFIG_KEYS:
-            raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = value
-    return out
+    # argparse names the type in its error: "invalid int list value: '1.5'"
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
 
 
 # ---------------------------------------------------------------- synth
 
 
 def _cmd_synth(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     kind = ScenarioKind(args.scenario)
     scenario, voices, mixture = bench.render_duet(kind, args.duration, args.seed, args.rate)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i, v in enumerate(voices, start=1):
         write_wav(out_dir / f"voice{i}.wav", v)
     write_wav(out_dir / "mixture.wav", mixture)
@@ -112,8 +87,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     mixture = read_wav(args.mixture)
     references = [read_wav(p) for p in args.refs] if args.refs else None
     n_sources = len(references) if references else args.sources
@@ -137,6 +110,8 @@ def _cmd_separate(args) -> int:
         )
     prior = kde_prior_from_exemplars(exemplars, bandwidth)
     result = separate(problem, [prior] * n_sources, config, references=references)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i, src in enumerate(result.sources, start=1):
         write_wav(out_dir / f"source{i}.wav", src)
     diagnostics = result.to_dict()
@@ -153,8 +128,6 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_nmf(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     mixture = read_wav(args.mixture)
     problem = MixtureProblem(mixture, MixingModel(sources=args.sources))
     sep = separate_nmf(
@@ -164,6 +137,8 @@ def _cmd_nmf(args) -> int:
         iterations=args.iters,
         seed=args.seed,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i, src in enumerate(sep.sources, start=1):
         write_wav(out_dir / f"source{i}.wav", src)
     meta = {"used_random_init": sep.used_random_init, "seed": args.seed}
@@ -205,25 +180,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    file_cfg = load_config(args.config) if args.config else {}
-    given = {}
-    for name, parse in _SWEEP_FIELDS.items():
-        # argparse has typed the numeric flags already, so only a list flag
-        # or a config line can fail to parse here
-        flag_value = getattr(args, name)
-        if flag_value is not None:
-            origin, text = f"--{name}", flag_value
-        elif f"sweep.{name}" in file_cfg:
-            origin, text = f"{args.config}: sweep.{name}", file_cfg[f"sweep.{name}"]
-        else:
-            continue
-        try:
-            given[name] = parse(text)
-        except ValueError as exc:
-            raise ConfigurationError(f"{origin}: {exc}") from exc
-    spec = bench.SweepSpec(**given)
+    # the sweep flags default to argparse.SUPPRESS: one left unset is absent
+    # from args, so SweepSpec's own default holds
+    names = {f.name for f in fields(bench.SweepSpec)}
+    spec = bench.SweepSpec(**{k: v for k, v in vars(args).items() if k in names})
     report = bench.sweep(spec, workers=args.workers)
-    out_dir = Path(spec.out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.json").write_text(json.dumps(report, indent=2))
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
@@ -233,7 +195,6 @@ def _cmd_sweep(args) -> int:
         )
         writer.writeheader()
         writer.writerows(report["rows"])
-    (out_dir / "sweep_plot.dat").write_text(bench.plot_data(report))
     for cell in report["cells"]:
         mean = cell["si_sdri_mean"]
         std = cell["si_sdri_std"]
@@ -313,26 +274,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="overlap-ratio / mode experiment grid")
-    p.add_argument("--config", default=None)
-    p.add_argument("--modes", default=None)
-    p.add_argument("--overlaps", default=None)
-    p.add_argument("--seeds", default=None)
-    p.add_argument("--scenario", default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--segment", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--best-of", dest="best_of_k", type=int, default=None)
+    p = sub.add_parser(
+        "sweep",
+        help="overlap-ratio / mode experiment grid",
+        fromfile_prefix_chars="@",
+        argument_default=argparse.SUPPRESS,
+    )
+    p.add_argument("--modes", type=_list_of(str))
+    p.add_argument("--overlaps", type=_list_of(float))
+    p.add_argument("--seeds", type=_list_of(int))
+    p.add_argument("--scenario")
+    p.add_argument("--duration", type=float)
+    p.add_argument("--segment", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--best-of", dest="best_of_k", type=int)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="sweep_out")
     p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a malformed value, 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except (ConfigurationError, ParseError) as exc:

@@ -307,6 +307,8 @@ def separate_nmf(
     """Pitch-informed KL-NMF separation with Wiener-mask reconstruction."""
     if n_sources < 2:
         raise ConfigurationError("n_sources must be >= 2")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     mix = problem.mixture
     spec = stft(mix, frame_size, hop_size)
     V = spec.magnitudes

@@ -113,6 +113,8 @@ class SeparationConfig:
     def __post_init__(self):
         if self.best_of_k < 1:
             raise ConfigurationError("best_of_k must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def model_length(self) -> int:

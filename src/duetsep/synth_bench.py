@@ -195,6 +195,8 @@ def make_scenario(kind: ScenarioKind, duration: float, seed: int = 0) -> DuetSce
         raise ConfigurationError(
             f"scenario duration must be finite and at least 2 s, got {duration}"
         )
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if kind is ScenarioKind.CROSSING:
         # one contour descends across the other's ascent at least once

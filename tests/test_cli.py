@@ -1,6 +1,8 @@
+import argparse
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 
 import duetsep
 from duetsep import Waveform, bench, read_wav, write_wav
-from duetsep.bench import SweepSpec, build_case, plot_data, run_mode, run_nmf_baseline, sweep
-from duetsep.cli import load_config, main
-from duetsep.errors import ConfigurationError, DomainError
+from duetsep.bench import SweepSpec, build_case, run_mode, run_nmf_baseline, sweep
+from duetsep.cli import build_parser, main
+from duetsep.errors import ConfigurationError
 from duetsep.pipeline import Mode
 
 
@@ -24,36 +26,6 @@ def scenario_dir(tmp_path):
     assert run(["synth", "--scenario", "crossing", "--duration", 2.5,
                 "--seed", 3, "--out", out]) == 0
     return out
-
-
-class TestLoadConfig:
-    def test_parses_known_keys(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# comment\n"
-            "sweep.seeds = 0 1 2\n"
-            "sweep.steps = 50   # inline comment\n"
-            "\n"
-            "sweep.best_of_k = 1\n"
-        )
-        out = load_config(cfg)
-        assert out == {
-            "sweep.seeds": "0 1 2",
-            "sweep.steps": "50",
-            "sweep.best_of_k": "1",
-        }
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("sweep.bogus = 1\n")
-        with pytest.raises(ConfigurationError):
-            load_config(cfg)
-
-    def test_missing_equals_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("sweep.seeds 0 1\n")
-        with pytest.raises(ConfigurationError):
-            load_config(cfg)
 
 
 class TestSynthCommand:
@@ -72,12 +44,13 @@ class TestSynthCommand:
         assert run(["synth", "--duration", 0.5, "--out", tmp_path / "x"]) == 2
 
     @pytest.mark.parametrize(
-        "flag, value", [("--rate", 0), ("--rate", -5), ("--duration", "nan")]
+        "flag, value",
+        [("--rate", 0), ("--rate", -5), ("--duration", "nan"), ("--seed", -1)],
     )
     def test_malformed_flag_exit_code(self, tmp_path, flag, value):
         out = tmp_path / "x"
         assert run(["synth", flag, value, "--out", out]) == 2
-        assert not (out / "mixture.wav").exists()
+        assert not out.exists()
 
 
 class TestSeparateCommand:
@@ -148,7 +121,7 @@ class TestSeparateCommand:
     @pytest.mark.parametrize(
         "flag, value",
         [("--bandwidth", 0), ("--bandwidth", "nan"), ("--steps", 0), ("--best-of", 0),
-         ("--sigma-min", 0), ("--sources", 1)],
+         ("--sigma-min", 0), ("--sources", 1), ("--seed", -1)],
     )
     def test_malformed_flag_exit_code(self, scenario_dir, tmp_path, flag, value):
         bank_dir = tmp_path / "bank"
@@ -160,7 +133,7 @@ class TestSeparateCommand:
             "--segment", 2048, "--steps", 2, "--best-of", 1, flag, value, "--out", out,
         ])
         assert code == 2
-        assert not (out / "source1.wav").exists()
+        assert not out.exists()
 
     def test_malformed_bank_exit_code(self, scenario_dir, tmp_path):
         bank = tmp_path / "bank.bin"
@@ -189,13 +162,15 @@ class TestNmfCommand:
         meta = json.loads((out / "nmf.json").read_text())
         assert "used_random_init" in meta
 
-    @pytest.mark.parametrize("flag, value", [("--iters", -3), ("--components", 0)])
+    @pytest.mark.parametrize(
+        "flag, value", [("--iters", -3), ("--components", 0), ("--seed", -1)]
+    )
     def test_malformed_flag_exit_code(self, scenario_dir, tmp_path, flag, value):
         out = tmp_path / "nmf"
         code = run(["nmf", "--mixture", scenario_dir / "mixture.wav", "--iters", 5,
                     flag, value, "--out", out])
         assert code == 2
-        assert not (out / "source1.wav").exists()
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -322,7 +297,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flag, value",
         [("--steps", 0), ("--best-of", 0), ("--duration", 0.0), ("--duration", -1.0),
-         ("--duration", "nan"), ("--segment", 0), ("--overlaps", 0.9999)],
+         ("--duration", "nan"), ("--duration", 1.5), ("--duration", "inf"),
+         ("--segment", 0), ("--overlaps", 0.9999), ("--seeds", "0 -1")],
     )
     def test_bad_numeric_setting_exit_code(self, tmp_path, monkeypatch, flag, value):
         # a malformed number fails before any case is rendered, with exit 2
@@ -335,17 +311,18 @@ class TestSweep:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "argv, config, named",
+        "argv, argfile, named",
         [(["--seeds", "1.5"], None, "--seeds"),
          (["--overlaps", "0.5 x"], None, "--overlaps"),
-         ([], "sweep.steps = abc\n", "sweep.steps")],
+         ([], "--steps\nabc\n", "--steps")],
         ids=["seeds-flag", "overlaps-flag", "steps-key"],
     )
-    def test_unparsable_value_exit_code(self, tmp_path, capsys, argv, config, named):
-        # a value that does not parse exits 2 and names its flag or key
-        if config is not None:
-            (tmp_path / "s.cfg").write_text(config)
-            argv = argv + ["--config", tmp_path / "s.cfg"]
+    def test_unparsable_value_exit_code(self, tmp_path, capsys, argv, argfile, named):
+        # a value that does not parse, on the command line or in an @file,
+        # exits 2 and names its flag
+        if argfile is not None:
+            (tmp_path / "s.args").write_text(argfile)
+            argv = argv + [f"@{tmp_path / 's.args'}"]
         assert run(["sweep", "--modes", "nmf", *argv, "--out", tmp_path / "o"]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -366,65 +343,54 @@ class TestSweep:
         assert [r["overlap"] for r in rows] == [0.25, 0.5]
         assert rows[0]["si_sdri"] == rows[1]["si_sdri"] and not rows[0]["error"]
 
-    def test_plot_data_format(self):
-        report = {
-            "cells": [
-                {"mode": "ar", "overlap": 0.75, "n": 2,
-                 "si_sdri_mean": 10.0, "si_sdri_std": 1.0},
-                {"mode": "naive", "overlap": 0.75, "n": 1,
-                 "si_sdri_mean": 5.0, "si_sdri_std": None},
-            ]
-        }
-        text = plot_data(report)
-        assert "# mode=ar overlap=0.75" in text
-        assert "10.000000 1.000000 2" in text
-        assert "5.000000 nan 1" in text
+    def test_sweep_flags_are_the_spec_fields(self):
+        # every SweepSpec field is settable by one flag, and no flag sets
+        # anything else besides the run's worker count and output directory
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        dests = {a.dest for a in subparsers.choices["sweep"]._actions} - {"help"}
+        assert dests == {f.name for f in fields(SweepSpec)} | {"workers", "out"}
 
-    def test_plot_data_empty_rejected(self):
-        with pytest.raises(DomainError):
-            plot_data({"cells": []})
+    def write_args(self, path, *lines):
+        path.write_text("".join(f"{line}\n" for line in lines))
+        return f"@{path}"
 
     def test_sweep_command_writes_artifacts(self, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
         out_dir = tmp_path / "sweep_out"
-        cfg.write_text(
-            "sweep.modes = segmented\n"
-            "sweep.overlaps = 0.5\n"
-            "sweep.seeds = 0\n"
-            "sweep.duration = 2.5\n"
-            "sweep.segment = 2048\n"
-            "sweep.steps = 10\n"
-            "sweep.best_of_k = 1\n"
-            f"sweep.out = {out_dir}\n"
+        argfile = self.write_args(
+            tmp_path / "sweep.args",
+            "--modes", "segmented", "--overlaps", "0.5", "--seeds", "0",
+            "--duration", "2.5", "--segment", "2048", "--steps", "10",
+            "--best-of", "1", "--out", out_dir,
         )
-        assert run(["sweep", "--config", cfg]) == 0
-        for name in ("sweep.json", "sweep.csv", "sweep_plot.dat"):
+        assert run(["sweep", argfile]) == 0
+        for name in ("sweep.json", "sweep.csv"):
             assert (out_dir / name).exists()
         rows = (out_dir / "sweep.csv").read_text().strip().splitlines()
         assert rows[0].startswith("mode,overlap,seed")
         assert len(rows) == 2
 
     def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
+        # arguments after the @file win over the file's lines
         out_a = tmp_path / "a"
-        cfg.write_text(
-            "sweep.modes = segmented nmf\n"
-            "sweep.overlaps = 0.5\n"
-            "sweep.seeds = 0\n"
-            "sweep.duration = 2.5\n"
-            "sweep.segment = 2048\n"
-            "sweep.steps = 10\n"
-            "sweep.best_of_k = 1\n"
+        argfile = self.write_args(
+            tmp_path / "sweep.args",
+            "--modes", "segmented nmf", "--overlaps", "0.5", "--seeds", "0",
+            "--duration", "2.5", "--segment", "2048", "--steps", "10",
+            "--best-of", "1", "--out", tmp_path / "b",
         )
-        assert run(["sweep", "--config", cfg, "--modes", "nmf",
-                    "--out", out_a]) == 0
+        assert run(["sweep", argfile, "--modes", "nmf", "--out", out_a]) == 0
         report = json.loads((out_a / "sweep.json").read_text())
         assert report["config"]["modes"] == ["nmf"]
+        assert report["config"]["duration"] == 2.5
+        assert not (tmp_path / "b").exists()
 
-    def test_unknown_config_key_exit_code(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nope = 1\n")
-        assert run(["sweep", "--config", cfg]) == 2
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys):
+        argfile = self.write_args(tmp_path / "bad.args", "--modes", "nmf", "nope = 1")
+        assert run(["sweep", argfile, "--out", tmp_path / "o"]) == 2
+        assert "nope = 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_mode_exit_code(self, tmp_path):
         assert run(["sweep", "--modes", "bogus", "--seeds", 0,
@@ -441,14 +407,16 @@ class TestSweep:
                     "--seeds", 0, "--duration", 2.5, "--segment", 2048,
                     "--out", out_dir]) == 3
         # every file is still written, and the failure is named
-        for name in ("sweep.json", "sweep.csv", "sweep_plot.dat"):
+        for name in ("sweep.json", "sweep.csv"):
             assert (out_dir / name).exists()
         assert "1 of 2 sweep rows failed; first: RuntimeError: sampler broke" in (
             capsys.readouterr().err
         )
 
     def test_sampler_key_exit_code(self, tmp_path):
-        # sweeps take their sampler settings from sweep.* keys only
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("sweep.modes = nmf\nsampler.steps = 50\n")
-        assert run(["sweep", "--config", cfg]) == 2
+        # a sweep takes its sampler settings from its own flags only, not
+        # from those of `separate`
+        argfile = self.write_args(tmp_path / "bad.args", "--modes", "nmf",
+                                  "--sigma-min", "0.01")
+        assert run(["sweep", argfile, "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
