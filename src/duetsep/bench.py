@@ -60,7 +60,6 @@ class BenchmarkCase:
     references: List[Waveform]
     mixture: Waveform
     problem: MixtureProblem
-    materials: List[np.ndarray]  # padded full-length exemplar material
     prototypes: List[np.ndarray]
     segment_length: int
 
@@ -94,20 +93,9 @@ def build_case(
     duration: float = 4.0,
     segment_length: int = BENCH_SEGMENT,
 ) -> BenchmarkCase:
-    """Render one scenario at BENCH_RATE and prepare the exemplar material."""
+    """Render one scenario at BENCH_RATE with its switch-rate prototypes."""
     scenario, (v1, v2), mixture = render_duet(kind, duration, seed)
     problem = MixtureProblem(mixture, MixingModel(sources=2))
-
-    # pad materials to the segment grid so slices line up with plan offsets
-    plan = plan_segments(len(mixture), segment_length, 0.0)
-    padded = plan.padded_length
-
-    def pad(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(padded)
-        out[: len(x)] = x
-        return out
-
-    materials = [pad(v1.samples), pad(v2.samples)]
     prototypes = identity_prototypes(
         list(scenario.singers), SWITCH_FRAME, BENCH_RATE, seed=7
     )
@@ -116,19 +104,21 @@ def build_case(
         references=[v1, v2],
         mixture=mixture,
         problem=problem,
-        materials=materials,
         prototypes=prototypes,
         segment_length=segment_length,
     )
 
 
 def _bank_for_length(case: BenchmarkCase, length: int) -> np.ndarray:
-    """Slice the material signals into aligned exemplars of the given length,
-    one every quarter segment."""
+    """Slice the references into aligned exemplars of the given length, one
+    every quarter segment. Each reference is zero-padded to the segment grid
+    first, so the slices line up with the plan offsets."""
+    padded = plan_segments(len(case.mixture), case.segment_length, 0.0).padded_length
     stride = case.segment_length // 4
     segs = []
-    for mat in case.materials:
-        for off in range(0, len(mat) - length + 1, stride):
+    for ref in case.references:
+        mat = np.pad(ref.samples, (0, padded - len(ref)))
+        for off in range(0, padded - length + 1, stride):
             segs.append(mat[off : off + length])
     return np.stack(segs)
 
@@ -295,6 +285,8 @@ def sweep(spec: SweepSpec, workers: int = 1) -> dict:
     """
     if not spec.modes or not spec.overlaps or not spec.seeds:
         raise ConfigurationError("sweep grid must be nonempty")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     known = [m.value for m in Mode] + ["nmf"]
     for mode in spec.modes:
         if mode not in known:

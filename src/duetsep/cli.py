@@ -90,7 +90,11 @@ def _cmd_separate(args) -> int:
     mixture = read_wav(args.mixture)
     references = [read_wav(p) for p in args.refs] if args.refs else None
     n_sources = len(references) if references else args.sources
-    exemplars = load_exemplar_bank(args.bank)
+    exemplars, bank_rate = load_exemplar_bank(args.bank)
+    if bank_rate is not None and bank_rate != mixture.sample_rate:
+        raise ConfigurationError(
+            f"bank sample rate {bank_rate} differs from the mixture's {mixture.sample_rate}"
+        )
     bandwidth = default_kde_bandwidth(exemplars) if args.bandwidth is None else args.bandwidth
     problem = MixtureProblem(mixture, MixingModel(sources=n_sources))
     schedule = NoiseSchedule(sigma_min=args.sigma_min, sigma_max=args.sigma_max)

@@ -4,7 +4,7 @@ reconstruction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,21 +30,14 @@ EPS = 1e-12
 
 @dataclass(frozen=True)
 class Spectrogram:
-    magnitudes: np.ndarray  # (bins, frames), >= 0
-    phases: np.ndarray  # radians
+    complex: np.ndarray  # (bins, frames)
     frame_size: int
     hop_size: int
     sample_rate: int
 
-    def __post_init__(self):
-        if np.any(self.magnitudes < 0):
-            raise DomainError("magnitudes must be nonnegative")
-        if self.magnitudes.shape != self.phases.shape:
-            raise ShapeError("magnitudes and phases must share shape")
-
     @property
-    def complex(self) -> np.ndarray:
-        return self.magnitudes * np.exp(1j * self.phases)
+    def magnitudes(self) -> np.ndarray:
+        return np.abs(self.complex)
 
 
 def _check_cola(frame_size: int, hop_size: int) -> None:
@@ -64,10 +57,8 @@ def stft(waveform: Waveform, frame_size: int = 2048, hop_size: int = 512) -> Spe
     window = np.hanning(frame_size)
     idx = np.arange(frame_size)[None, :] + hop_size * np.arange(n_frames)[:, None]
     frames = xp[idx] * window
-    spec = np.fft.rfft(frames, axis=1).T  # (bins, frames)
     return Spectrogram(
-        magnitudes=np.abs(spec),
-        phases=np.angle(spec),
+        complex=np.fft.rfft(frames, axis=1).T,
         frame_size=frame_size,
         hop_size=hop_size,
         sample_rate=waveform.sample_rate,
@@ -319,37 +310,31 @@ def separate_nmf(
         cands = pitch_candidates(mix, fmin, fmax, frame_size, hop_size)
     except (DomainError, ConfigurationError):
         cands = []
-    have_pitch = any(cands)
     src_map = tuple(s for s in range(n_sources) for _ in range(components_per_source))
-    if not have_pitch:
-        model = nmf_fit(V, rank, iterations, seed=seed, source_of_component=src_map)
-        used_random = True
-    else:
-        tracks = _track_candidates(cands, n_sources)
-        W = np.full((bins, rank), EPS)
-        H = np.full((rank, frames), EPS)
-        for s in range(n_sources):
-            voiced = tracks[s][~np.isnan(tracks[s])]
-            if voiced.size == 0:
-                rng = np.random.default_rng(seed + s)
-                W[:, s * components_per_source : (s + 1) * components_per_source] = rng.uniform(
-                    0.1, 1.0, size=(bins, components_per_source)
-                )
-                H[s * components_per_source : (s + 1) * components_per_source, :] = 0.1
-                continue
-            qs = np.quantile(voiced, np.linspace(0.05, 0.95, components_per_source))
-            for c, f0 in enumerate(qs):
-                comp = s * components_per_source + c
-                W[:, comp] = _harmonic_template(float(f0), bins, mix.sample_rate, frame_size)
-                # activate where the track sits near this template's pitch
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    near = np.abs(np.log(tracks[s] / f0)) < np.log(2) / 6  # within ~2 semitones
-                H[comp, np.flatnonzero(near)] = 1.0
-            H[s * components_per_source : (s + 1) * components_per_source] += 0.01
-        model = nmf_fit(
-            V, rank, iterations, seed=seed, init_W=W, init_H=H, source_of_component=src_map
-        )
-        used_random = False
+    tracks = _track_candidates(cands, n_sources)
+    W = np.full((bins, rank), EPS)
+    H = np.full((rank, frames), EPS)
+    for s in range(n_sources):
+        voiced = tracks[s][~np.isnan(tracks[s])]
+        if voiced.size == 0:
+            rng = np.random.default_rng(seed + s)
+            W[:, s * components_per_source : (s + 1) * components_per_source] = rng.uniform(
+                0.1, 1.0, size=(bins, components_per_source)
+            )
+            H[s * components_per_source : (s + 1) * components_per_source, :] = 0.1
+            continue
+        qs = np.quantile(voiced, np.linspace(0.05, 0.95, components_per_source))
+        for c, f0 in enumerate(qs):
+            comp = s * components_per_source + c
+            W[:, comp] = _harmonic_template(float(f0), bins, mix.sample_rate, frame_size)
+            # activate where the track sits near this template's pitch
+            with np.errstate(invalid="ignore", divide="ignore"):
+                near = np.abs(np.log(tracks[s] / f0)) < np.log(2) / 6  # within ~2 semitones
+            H[comp, np.flatnonzero(near)] = 1.0
+        H[s * components_per_source : (s + 1) * components_per_source] += 0.01
+    model = nmf_fit(
+        V, rank, iterations, seed=seed, init_W=W, init_H=H, source_of_component=src_map
+    )
     WH = np.maximum(model.W @ model.H, EPS)
     sources = []
     for s in range(n_sources):
@@ -357,12 +342,6 @@ def separate_nmf(
         Vs = model.W[:, comps] @ model.H[comps, :]
         # the Wiener mask is real and nonnegative: it scales the magnitudes
         # and keeps the mixture's phases
-        sub = Spectrogram(
-            magnitudes=spec.magnitudes * (Vs / WH),
-            phases=spec.phases,
-            frame_size=frame_size,
-            hop_size=hop_size,
-            sample_rate=mix.sample_rate,
-        )
+        sub = replace(spec, complex=spec.complex * (Vs / WH))
         sources.append(istft(sub, length=len(mix)))
-    return NmfSeparation(sources=sources, model=model, used_random_init=used_random)
+    return NmfSeparation(sources=sources, model=model, used_random_init=not any(cands))

@@ -283,13 +283,13 @@ def separate(
                 )
         ref_arrays = [r.samples for r in references]
 
-    plan = config.plan
-    if mode in (Mode.SEGMENTED, Mode.NAIVE):
-        # disjoint pieces of the model length, no conditioning; naive runs
-        # once over their whole padded span
-        plan = plan_segments(len(mixture), config.model_length, 0.0)
-        if mode is Mode.NAIVE:
-            plan = plan_segments(plan.padded_length, plan.padded_length, 0.0)
+    # config.plan gives only the segment length and overlap ratio; the offsets
+    # come from this mixture. Only ar and ar-tf overlap, and naive runs once
+    # over the whole padded span.
+    overlap_ratio = config.plan.overlap_ratio if mode in (Mode.AR, Mode.AR_TF) else 0.0
+    plan = plan_segments(len(mixture), config.model_length, overlap_ratio)
+    if mode is Mode.NAIVE:
+        plan = plan_segments(plan.padded_length, plan.padded_length, 0.0)
 
     seg_models = list(models)
     native = next((m.native_length for m in seg_models if m.native_length is not None), None)

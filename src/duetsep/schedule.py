@@ -21,29 +21,30 @@ class NoiseSchedule:
     sigma_max: float = 10.0
 
     def __post_init__(self):
-        if not (0 < self.sigma_min < self.sigma_max):
+        if not (0 < self.sigma_min < self.sigma_max < np.inf):
             raise ConfigurationError(
-                f"need 0 < sigma_min < sigma_max, got {self.sigma_min}, {self.sigma_max}"
+                f"need 0 < sigma_min < sigma_max < inf, got {self.sigma_min}, {self.sigma_max}"
             )
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Descending times t_0 = 1 > ... > t_steps = 0 with matching sigmas."""
+    """Strictly descending noise levels sigma_0 > ... > sigma_steps."""
 
-    steps: int
-    times: np.ndarray
     sigmas: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
         sigmas = np.asarray(self.sigmas, dtype=np.float64)
-        if times.shape != (self.steps + 1,) or sigmas.shape != (self.steps + 1,):
-            raise ConfigurationError("grid arrays must have steps+1 nodes")
-        if np.any(np.diff(times) >= 0) or np.any(np.diff(sigmas) >= 0):
+        if sigmas.ndim != 1 or sigmas.size < 2:
+            raise ConfigurationError("grid must be 1-D with at least 2 nodes")
+        # written so that a NaN difference fails
+        if not np.all(np.diff(sigmas) < 0):
             raise ConfigurationError("grid must be strictly descending")
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "sigmas", sigmas)
+
+    @property
+    def steps(self) -> int:
+        return self.sigmas.size - 1
 
 
 def make_grid(schedule: NoiseSchedule, steps: int) -> TimeGrid:
@@ -56,4 +57,4 @@ def make_grid(schedule: NoiseSchedule, steps: int) -> TimeGrid:
     # pin the endpoints exactly
     sigmas[0] = schedule.sigma_max
     sigmas[-1] = schedule.sigma_min
-    return TimeGrid(steps=steps, times=times, sigmas=sigmas)
+    return TimeGrid(sigmas)

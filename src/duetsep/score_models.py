@@ -279,8 +279,12 @@ def save_exemplar_bank(path, exemplars: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def load_exemplar_bank(path) -> np.ndarray:
-    """Load exemplars from a bank binary or a directory of mono WAV segments."""
+def load_exemplar_bank(path) -> Tuple[np.ndarray, Optional[int]]:
+    """Load exemplars from a bank binary or a directory of mono WAV segments.
+
+    Returns (exemplars, sample_rate); the rate is None for a bank binary,
+    whose format stores none.
+    """
     p = Path(path)
     if p.is_dir():
         wavs = sorted(p.glob("*.wav"))
@@ -294,7 +298,7 @@ def load_exemplar_bank(path) -> np.ndarray:
         lengths = {len(s) for s in segs}
         if len(lengths) != 1:
             raise ShapeError("bank WAV segments must share length")
-        return np.stack(segs)
+        return np.stack(segs), rates[0]
     with open(os.fspath(p), "rb") as fh:
         magic = fh.read(4)
         if magic != _BANK_MAGIC:
@@ -308,4 +312,4 @@ def load_exemplar_bank(path) -> np.ndarray:
             raise ConfigurationError(f"{p}: truncated exemplar bank")
         if fh.read(1):
             raise ConfigurationError(f"{p}: trailing bytes after the exemplar bank")
-    return data.astype(np.float64).reshape(count, length)
+    return data.astype(np.float64).reshape(count, length), None

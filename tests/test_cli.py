@@ -106,6 +106,19 @@ class TestSeparateCommand:
         ])
         assert code == 2
 
+    def test_bank_rate_differs_from_mixture_exit_code(self, scenario_dir, tmp_path):
+        # the scenario's mixture is 8 kHz
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "a.wav", Waveform(np.linspace(-0.5, 0.5, 2048), 16000))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
+            "--segment", 2048, "--steps", 2, "--best-of", 1, "--out", out,
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_degenerate_overlap_exit_code(self, scenario_dir, tmp_path):
         # at L = 2048 an overlap of 0.9999 rounds the hop to 0
         bank_dir = tmp_path / "bank"
@@ -121,7 +134,7 @@ class TestSeparateCommand:
     @pytest.mark.parametrize(
         "flag, value",
         [("--bandwidth", 0), ("--bandwidth", "nan"), ("--steps", 0), ("--best-of", 0),
-         ("--sigma-min", 0), ("--sources", 1), ("--seed", -1)],
+         ("--sigma-min", 0), ("--sigma-max", "inf"), ("--sources", 1), ("--seed", -1)],
     )
     def test_malformed_flag_exit_code(self, scenario_dir, tmp_path, flag, value):
         bank_dir = tmp_path / "bank"
@@ -298,7 +311,7 @@ class TestSweep:
         "flag, value",
         [("--steps", 0), ("--best-of", 0), ("--duration", 0.0), ("--duration", -1.0),
          ("--duration", "nan"), ("--duration", 1.5), ("--duration", "inf"),
-         ("--segment", 0), ("--overlaps", 0.9999), ("--seeds", "0 -1")],
+         ("--segment", 0), ("--overlaps", 0.9999), ("--seeds", "0 -1"), ("--workers", 0)],
     )
     def test_bad_numeric_setting_exit_code(self, tmp_path, monkeypatch, flag, value):
         # a malformed number fails before any case is rendered, with exit 2

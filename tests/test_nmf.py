@@ -6,7 +6,6 @@ from duetsep.errors import ConfigurationError, DomainError, ShapeError
 from duetsep.nmf import (
     EPS,
     NmfModel,
-    Spectrogram,
     istft,
     kl_divergence,
     nmf_fit,
@@ -57,12 +56,6 @@ class TestStftIstft:
     def test_invalid_hop(self):
         with pytest.raises(ConfigurationError):
             stft(wf(np.zeros(100)), frame_size=64, hop_size=64)
-
-    def test_spectrogram_validation(self):
-        with pytest.raises(DomainError):
-            Spectrogram(-np.ones((3, 3)), np.zeros((3, 3)), 64, 16, 8000)
-        with pytest.raises(ShapeError):
-            Spectrogram(np.ones((3, 3)), np.zeros((3, 4)), 64, 16, 8000)
 
 
 class TestKlDivergence:
@@ -179,6 +172,7 @@ class TestSeparateNmf:
                            fmin=150.0, fmax=450.0)
         report = evaluate(sep.sources, refs, problem.mixture)
         assert report.mean_si_sdri > 5.0
+        assert not sep.used_random_init
 
     def test_masks_mixture_consistent(self):
         """The per-source Wiener masks must sum to one wherever the model has

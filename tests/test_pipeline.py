@@ -293,6 +293,20 @@ class TestSeparate:
         assert all(len(s) == 100 for s in result.sources)
         assert len(result.per_segment) == len(cfg.plan.offsets)
 
+    @pytest.mark.parametrize("mode", [Mode.AR, Mode.AR_TF])
+    @pytest.mark.parametrize("planned_for", [128, 512])
+    def test_plan_follows_the_mixture(self, mode, planned_for):
+        """A plan built for another length gives only its segment length and
+        overlap ratio: the segments cover this mixture, no more."""
+        problem, refs = toy_problem(256, seed=11)
+        models = toy_models(refs, 32)
+        cfg = make_config(mode, planned_for, 32, 0.5, steps=5)
+        result = separate(problem, models, cfg, references=refs)
+        assert all(len(s) == 256 for s in result.sources)
+        total = np.sum([s.samples for s in result.sources], axis=0)
+        np.testing.assert_allclose(total, problem.mixture.samples, atol=1e-9)
+        assert len(result.per_segment) == len(plan_segments(256, 32, 0.5).offsets)
+
     def test_ar_zero_overlap_equals_segmented(self):
         problem, refs = toy_problem(128, seed=3)
         models = toy_models(refs, 32)

@@ -340,8 +340,9 @@ class TestBankIO:
         rng = np.random.default_rng(6)
         bank = rng.normal(size=(5, 16)).astype(np.float32).astype(np.float64)
         save_exemplar_bank(tmp_path / "bank.bin", bank)
-        back = load_exemplar_bank(tmp_path / "bank.bin")
+        back, rate = load_exemplar_bank(tmp_path / "bank.bin")
         np.testing.assert_array_equal(back, bank)
+        assert rate is None
 
     @given(
         bank=arrays(
@@ -354,7 +355,7 @@ class TestBankIO:
     def test_binary_roundtrip_property(self, bank, tmp_path_factory):
         path = tmp_path_factory.mktemp("bank") / "bank.bin"
         save_exemplar_bank(path, bank.astype(np.float64))
-        back = load_exemplar_bank(path)
+        back, _ = load_exemplar_bank(path)
         assert back.dtype == np.float64
         np.testing.assert_array_equal(back, bank.astype(np.float64))
 
@@ -363,8 +364,9 @@ class TestBankIO:
         for i in range(3):
             w = Waveform(rng.uniform(-0.5, 0.5, 32), 8000)
             write_wav(tmp_path / f"seg{i}.wav", w)
-        bank = load_exemplar_bank(tmp_path)
+        bank, rate = load_exemplar_bank(tmp_path)
         assert bank.shape == (3, 32)
+        assert rate == 8000
 
     def test_wav_directory_mixed_rates_rejected(self, tmp_path):
         write_wav(tmp_path / "a.wav", Waveform(np.full(32, 0.1), 8000))
