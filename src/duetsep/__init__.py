@@ -57,7 +57,6 @@ from .score_models import (
     kde_prior_from_exemplars,
     load_exemplar_bank,
     mixture_score,
-    save_exemplar_bank,
 )
 from .synth_bench import (
     BRIGHT,

@@ -112,7 +112,9 @@ def build_case(
 def _bank_for_length(case: BenchmarkCase, length: int) -> np.ndarray:
     """Slice the references into aligned exemplars of the given length, one
     every quarter segment. Each reference is zero-padded to the segment grid
-    first, so the slices line up with the plan offsets."""
+    first, so the slices line up with the plan offsets when the hop is a
+    multiple of a quarter segment (overlap 0, 0.25, 0.5 or 0.75); at any
+    other overlap most ar segments are not in the bank."""
     padded = plan_segments(len(case.mixture), case.segment_length, 0.0).padded_length
     stride = case.segment_length // 4
     segs = []

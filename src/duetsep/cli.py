@@ -91,7 +91,7 @@ def _cmd_separate(args) -> int:
     references = [read_wav(p) for p in args.refs] if args.refs else None
     n_sources = len(references) if references else args.sources
     exemplars, bank_rate = load_exemplar_bank(args.bank)
-    if bank_rate is not None and bank_rate != mixture.sample_rate:
+    if bank_rate != mixture.sample_rate:
         raise ConfigurationError(
             f"bank sample rate {bank_rate} differs from the mixture's {mixture.sample_rate}"
         )
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixture", required=True)
     p.add_argument("--refs", nargs="*", default=None)
     p.add_argument("--bank", required=True,
-                   help="exemplar bank file or directory of WAV segments")
+                   help="directory of WAV exemplar segments")
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--overlap", type=float, default=0.75)
     p.add_argument("--segment", type=int, default=131072)

@@ -1,7 +1,8 @@
 """Waveform container, mixing model, and mono WAV I/O.
 
 All audio is mono, double precision internally. Files may be 16-bit PCM or
-32-bit IEEE float; 24 kHz is the canonical rate but nothing here depends on it.
+32-bit IEEE float, at any rate: nothing here depends on it (the benchmark and
+the command-line defaults use 8 kHz).
 """
 
 from __future__ import annotations

@@ -306,9 +306,11 @@ def separate_nmf(
     bins, frames = V.shape
     rank = n_sources * components_per_source
     fmax = min(fmax, mix.sample_rate / 2 * 0.98)
+    # padded as stft pads, so that pitch frame j is centred on STFT column j
+    centred = Waveform(np.pad(mix.samples, frame_size // 2), mix.sample_rate)
     try:
-        cands = pitch_candidates(mix, fmin, fmax, frame_size, hop_size)
-    except (DomainError, ConfigurationError):
+        cands = pitch_candidates(centred, fmin, fmax, frame_size, hop_size)
+    except ConfigurationError:
         cands = []
     src_map = tuple(s for s in range(n_sources) for _ in range(components_per_source))
     tracks = _track_candidates(cands, n_sources)

@@ -271,7 +271,6 @@ def separate(
         raise ConfigurationError(f"mode {mode.value} / oracle selection requires references")
     mixture = problem.mixture.samples
     rate = problem.mixture.sample_rate
-    n_sources = problem.mixing.sources
     ref_arrays = None
     if references is not None:
         for r in references:
@@ -289,26 +288,19 @@ def separate(
     overlap_ratio = config.plan.overlap_ratio if mode in (Mode.AR, Mode.AR_TF) else 0.0
     plan = plan_segments(len(mixture), config.model_length, overlap_ratio)
     if mode is Mode.NAIVE:
+        # the one plan longer than the models: they score its span blockwise
         plan = plan_segments(plan.padded_length, plan.padded_length, 0.0)
+        models = [
+            m if m.native_length in (None, plan.segment_length) else TiledScoreModel(m)
+            for m in models
+        ]
 
-    seg_models = list(models)
-    native = next((m.native_length for m in seg_models if m.native_length is not None), None)
-    if native is not None and native != plan.segment_length:
-        if plan.segment_length % native == 0:
-            seg_models = [
-                TiledScoreModel(m) if m.native_length is not None else m
-                for m in seg_models
-            ]
-        else:
-            raise ShapeError(
-                f"model native_length {native} incompatible with segment length "
-                f"{plan.segment_length}"
-            )
-
-    overlap = plan.overlap  # 0 unless ar or ar-tf
+    # the first `overlap` samples of each later segment are known: the
+    # references (ar-tf) or the tail of the previous chosen output, which
+    # lies under them since the offsets step by the hop
+    known = np.arange(plan.segment_length) < plan.overlap
     records: List[SegmentRecord] = []
     seg_outputs: List[List[np.ndarray]] = []
-    prev_chosen: Optional[List[np.ndarray]] = None
     for j, off in enumerate(plan.offsets):
         seg_mix = _segment_slice(mixture, off, plan.segment_length)
         seg_refs = (
@@ -317,36 +309,28 @@ def separate(
             else None
         )
         conditions = None
-        if overlap > 0 and j > 0:
-            mask = np.zeros(plan.segment_length, dtype=bool)
-            mask[:overlap] = True
-            conditions = []
-            for src in range(1, n_sources):
-                if mode is Mode.AR_TF:
-                    values = seg_refs[src].copy()
-                else:
-                    values = np.zeros(plan.segment_length)
-                    # offsets step by the hop, so the previous segment's
-                    # last `overlap` samples sit under this one's first
-                    values[:overlap] = prev_chosen[src][plan.hop :]
-                conditions.append(InpaintCondition(mask=mask, values=values))
+        if plan.overlap > 0 and j > 0:
+            values = (
+                seg_refs
+                if mode is Mode.AR_TF
+                else [np.pad(s[plan.hop :], (0, plan.hop)) for s in seg_outputs[-1]]
+            )
+            conditions = [InpaintCondition(mask=known, values=v) for v in values[1:]]
         seg_problem = MixtureProblem(Waveform(seg_mix, rate), problem.mixing)
         seeds = [_candidate_seed(config.seed, j, c) for c in range(config.best_of_k)]
         candidates = [
             sample_posterior(
                 seg_problem,
-                seg_models,
+                models,
                 SamplerConfig(grid=config.grid, integrator=config.integrator, seed=seed),
                 conditions,
             )
             for seed in seeds
         ]
         idx, perm = select_best_of_k(candidates, config.selection, seg_refs, seg_mix)
-        chosen = [candidates[idx][p] for p in perm]
         score = _selection_score(candidates[idx], perm, config.selection, seg_refs, seg_mix)
         records.append(SegmentRecord(j, idx, score, perm, seeds[idx]))
-        seg_outputs.append(chosen)
-        prev_chosen = chosen
+        seg_outputs.append([candidates[idx][p] for p in perm])
 
     stitched = stitch(seg_outputs, plan)
     sources = [Waveform(s[: len(mixture)], rate) for s in stitched]

@@ -8,15 +8,13 @@ also expose log_density, for oracle checks by finite differences.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .core_signal import Waveform, read_wav
+from .core_signal import read_wav
 from .errors import ConfigurationError, DomainError, ShapeError
 
 __all__ = [
@@ -29,10 +27,7 @@ __all__ = [
     "kde_prior_from_exemplars",
     "default_kde_bandwidth",
     "load_exemplar_bank",
-    "save_exemplar_bank",
 ]
-
-_BANK_MAGIC = b"XBNK"
 
 
 class ScoreModel(Protocol):
@@ -268,48 +263,21 @@ class TiledScoreModel:
         return np.asarray(out).reshape(x.shape)
 
 
-def save_exemplar_bank(path, exemplars: np.ndarray) -> None:
-    """Binary bank: magic, uint32 count, uint32 length, float32 data."""
-    arr = np.asarray(exemplars, dtype=np.float32)
-    if arr.ndim != 2:
-        raise ShapeError("bank must be a (count, length) array")
-    with open(os.fspath(path), "wb") as fh:
-        fh.write(_BANK_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
-
-
-def load_exemplar_bank(path) -> Tuple[np.ndarray, Optional[int]]:
-    """Load exemplars from a bank binary or a directory of mono WAV segments.
-
-    Returns (exemplars, sample_rate); the rate is None for a bank binary,
-    whose format stores none.
-    """
+def load_exemplar_bank(path) -> Tuple[np.ndarray, int]:
+    """Load exemplars from a directory of mono WAV segments of one length and
+    one rate. Returns (exemplars, sample_rate)."""
     p = Path(path)
-    if p.is_dir():
-        wavs = sorted(p.glob("*.wav"))
-        if not wavs:
-            raise ConfigurationError(f"no WAV files in {p}")
-        waves = [read_wav(w) for w in wavs]
-        rates = sorted({w.sample_rate for w in waves})
-        if len(rates) != 1:
-            raise ConfigurationError(f"bank WAV files in {p} mix sample rates {rates}")
-        segs = [w.samples for w in waves]
-        lengths = {len(s) for s in segs}
-        if len(lengths) != 1:
-            raise ShapeError("bank WAV segments must share length")
-        return np.stack(segs), rates[0]
-    with open(os.fspath(p), "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BANK_MAGIC:
-            raise ConfigurationError(f"{p} is not an exemplar bank file")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ConfigurationError(f"{p}: exemplar bank header cut short")
-        count, length = struct.unpack("<II", header)
-        data = np.frombuffer(fh.read(count * length * 4), dtype=np.float32)
-        if data.size != count * length:
-            raise ConfigurationError(f"{p}: truncated exemplar bank")
-        if fh.read(1):
-            raise ConfigurationError(f"{p}: trailing bytes after the exemplar bank")
-    return data.astype(np.float64).reshape(count, length), None
+    if not p.is_dir():
+        raise ConfigurationError(f"exemplar bank {p} is not a directory")
+    wavs = sorted(p.glob("*.wav"))
+    if not wavs:
+        raise ConfigurationError(f"no WAV files in {p}")
+    waves = [read_wav(w) for w in wavs]
+    rates = sorted({w.sample_rate for w in waves})
+    if len(rates) != 1:
+        raise ConfigurationError(f"bank WAV files in {p} mix sample rates {rates}")
+    segs = [w.samples for w in waves]
+    lengths = {len(s) for s in segs}
+    if len(lengths) != 1:
+        raise ShapeError("bank WAV segments must share length")
+    return np.stack(segs), rates[0]

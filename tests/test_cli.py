@@ -149,13 +149,18 @@ class TestSeparateCommand:
         assert not out.exists()
 
     def test_malformed_bank_exit_code(self, scenario_dir, tmp_path):
-        bank = tmp_path / "bank.bin"
-        bank.write_bytes(b"XBNK\x02\x00")  # header cut short
-        code = run([
-            "separate", "--mixture", scenario_dir / "mixture.wav",
-            "--bank", bank, "--out", tmp_path / "sep",
-        ])
-        assert code == 2
+        """A bank is a directory of WAV segments: a missing path or a file
+        exits 2."""
+        plain = tmp_path / "bank.bin"
+        plain.write_text("not a bank")
+        out = tmp_path / "sep"
+        for bank in (tmp_path / "missing", plain):
+            code = run([
+                "separate", "--mixture", scenario_dir / "mixture.wav",
+                "--bank", bank, "--out", out,
+            ])
+            assert code == 2
+            assert not out.exists()
 
     def test_missing_mixture_exit_code(self, tmp_path):
         code = run([

@@ -200,6 +200,19 @@ class TestSeparateNmf:
         err = np.sqrt(np.mean((total - mixture) ** 2))
         assert err < 0.05 * np.sqrt(np.mean(mixture**2))
 
+    def test_pitch_start_lines_up_with_the_stft(self):
+        """The pitch-informed start activates a tone in the STFT columns that
+        hold its energy: pitch frame j is centred on column j."""
+        rate, n = 8000, 32000
+        x = np.zeros(n)
+        x[n // 2 :] = harmonic(220.0, n // 2, rate)
+        problem = MixtureProblem(wf(x, rate), MixingModel(sources=2))
+        energy = np.sum(stft(problem.mixture, 1024, 256).magnitudes ** 2, axis=0)
+        first_energetic = np.flatnonzero(energy >= 0.05 * energy.max())[0]
+        sep = separate_nmf(problem, iterations=0, frame_size=1024, hop_size=256)
+        first_active = np.flatnonzero(np.any(sep.model.H >= 1.0, axis=0))[0]
+        assert abs(first_active - first_energetic) <= 1
+
     def test_random_init_fallback_on_silence(self):
         problem = MixtureProblem(wf(np.zeros(4096)), MixingModel(sources=2))
         sep = separate_nmf(problem, iterations=10, frame_size=1024, hop_size=256)

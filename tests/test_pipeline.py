@@ -422,6 +422,16 @@ class TestSeparate:
         result = separate(problem, models, cfg, references=refs)
         assert all(len(s) == 64 for s in result.sources)
 
+    @pytest.mark.parametrize("mode", [Mode.AR, Mode.AR_TF, Mode.SEGMENTED])
+    def test_only_naive_tiles_a_shorter_model(self, mode):
+        """Only naive's padded span is longer than the models; every other
+        mode scores a prior at its own length and refuses a shorter one."""
+        problem, refs = toy_problem(64, seed=9)
+        cfg = make_config(mode, 64, 32, 0.5, steps=5)
+        models = toy_models(refs, cfg.model_length // 2)
+        with pytest.raises(ShapeError, match="native_length"):
+            separate(problem, models, cfg, references=refs)
+
     def test_to_dict_roundtrips_config(self):
         problem, refs = toy_problem(64, seed=10)
         models = toy_models(refs, 32)

@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from duetsep import (
@@ -14,7 +11,6 @@ from duetsep import (
     kde_prior_from_exemplars,
     load_exemplar_bank,
     mixture_score,
-    save_exemplar_bank,
     write_wav,
 )
 from duetsep.errors import ConfigurationError, DomainError, ShapeError
@@ -336,29 +332,6 @@ class TestTiledModel:
 
 
 class TestBankIO:
-    def test_binary_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        bank = rng.normal(size=(5, 16)).astype(np.float32).astype(np.float64)
-        save_exemplar_bank(tmp_path / "bank.bin", bank)
-        back, rate = load_exemplar_bank(tmp_path / "bank.bin")
-        np.testing.assert_array_equal(back, bank)
-        assert rate is None
-
-    @given(
-        bank=arrays(
-            np.float32,
-            st.tuples(st.integers(1, 6), st.integers(1, 40)),
-            elements=st.floats(allow_nan=False, allow_infinity=False, width=32),
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_binary_roundtrip_property(self, bank, tmp_path_factory):
-        path = tmp_path_factory.mktemp("bank") / "bank.bin"
-        save_exemplar_bank(path, bank.astype(np.float64))
-        back, _ = load_exemplar_bank(path)
-        assert back.dtype == np.float64
-        np.testing.assert_array_equal(back, bank.astype(np.float64))
-
     def test_wav_directory(self, tmp_path):
         rng = np.random.default_rng(7)
         for i in range(3):
@@ -374,27 +347,12 @@ class TestBankIO:
         with pytest.raises(ConfigurationError, match="sample rates"):
             load_exemplar_bank(tmp_path)
 
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "junk.bin"
-        p.write_bytes(b"nope" + b"\x00" * 16)
-        with pytest.raises(ConfigurationError):
-            load_exemplar_bank(p)
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            b"XBNK",
-            b"XBNK\x02\x00\x00",
-            b"XBNK" + bytes([2, 0, 0, 0, 3, 0, 0, 0]) + b"\x00" * 20,
-            b"XBNK" + bytes([2, 0, 0, 0, 3, 0, 0, 0]) + b"\x00" * 28,
-        ],
-        ids=["no-header", "short-header", "truncated", "trailing-bytes"],
-    )
-    def test_malformed_rejected(self, tmp_path, payload):
-        p = tmp_path / "bank.bin"
-        p.write_bytes(payload)
-        with pytest.raises(ConfigurationError):
-            load_exemplar_bank(p)
+    def test_not_a_directory_rejected(self, tmp_path):
+        plain = tmp_path / "bank.wav"
+        write_wav(plain, Waveform(np.full(32, 0.1), 8000))
+        for path in (tmp_path / "missing", plain):
+            with pytest.raises(ConfigurationError, match="not a directory"):
+                load_exemplar_bank(path)
 
 
 def test_score_oracle_suite_dims():
