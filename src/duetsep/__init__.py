@@ -53,7 +53,6 @@ from .score_models import (
     GaussianPrior,
     MixturePrior,
     TiledScoreModel,
-    gaussian_score,
     kde_prior_from_exemplars,
     load_exemplar_bank,
     mixture_score,

@@ -4,10 +4,11 @@ SI-SDRi/SDRi and the identity-switch rate. `sweep` runs a (mode x overlap x
 seed) grid of these and aggregates it; it is the only experiment loop.
 
 The exemplar bank is sliced from full-length voice material for both singers,
-so the prior supports either voice in any segment. Which voice a sampled
-source locks onto is decided per segment (or per block, for the naive mode)
-by the initial noise; that per-segment identity choice is precisely the
-switching failure the auto-regressive conditioning suppresses.
+so the prior supports either voice in any segment, and it holds every piece
+the run scores, at any overlap. The paper's switching failure is a sampled
+source locking onto another voice from one segment to the next. This harness
+has not shown one yet: with the oracle bank and selection, loudness rather
+than the initial noise picks the voice, and no mode switches (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .core_signal import MixingModel, MixtureProblem, Waveform, mix
 from .errors import ConfigurationError
 from .metrics import evaluate, identity_switch_rate
 from .nmf import separate_nmf
-from .pipeline import Mode, Selection, SeparationConfig, plan_segments, separate
+from .pipeline import Mode, SegmentPlan, Selection, SeparationConfig, plan_segments, separate
 from .posterior_sampler import Integrator
 from .schedule import NoiseSchedule, make_grid
 from .score_models import kde_prior_from_exemplars
@@ -66,9 +67,6 @@ class BenchmarkCase:
 
 @dataclass(frozen=True)
 class BenchRow:
-    mode: str
-    overlap_ratio: float
-    seed: int
     mean_si_sdri: float
     mean_sdri: float
     switch_rate: float
@@ -109,24 +107,26 @@ def build_case(
     )
 
 
-def _bank_for_length(case: BenchmarkCase, length: int) -> np.ndarray:
-    """Slice the references into aligned exemplars of the given length, one
-    every quarter segment. Each reference is zero-padded to the segment grid
-    first, so the slices line up with the plan offsets when the hop is a
-    multiple of a quarter segment (overlap 0, 0.25, 0.5 or 0.75); at any
-    other overlap most ar segments are not in the bank."""
-    padded = plan_segments(len(case.mixture), case.segment_length, 0.0).padded_length
-    stride = case.segment_length // 4
+def _bank_for_length(case: BenchmarkCase, plan: SegmentPlan) -> np.ndarray:
+    """Slice the references into exemplars of the plan's segment length: one
+    every quarter segment of the zero-padded segment grid, then each piece at
+    a plan offset that is not already among them, so that the bank holds
+    every piece the run scores at any overlap."""
+    length = plan.segment_length
+    grid = plan_segments(len(case.mixture), case.segment_length, 0.0).padded_length
+    offsets = dict.fromkeys(
+        [*range(0, grid - length + 1, case.segment_length // 4), *plan.offsets]
+    )
+    padded = max(grid, plan.padded_length)
     segs = []
     for ref in case.references:
         mat = np.pad(ref.samples, (0, padded - len(ref)))
-        for off in range(0, padded - length + 1, stride):
-            segs.append(mat[off : off + length])
+        segs.extend(mat[off : off + length] for off in offsets)
     return np.stack(segs)
 
 
-def _models_for_length(case: BenchmarkCase, length: int):
-    bank = _bank_for_length(case, length)
+def _models_for_length(case: BenchmarkCase, plan: SegmentPlan):
+    bank = _bank_for_length(case, plan)
     rms = float(np.sqrt(np.mean(case.mixture.samples**2)))
     prior = kde_prior_from_exemplars(bank, bandwidth=0.1 * rms)
     return [prior, prior]
@@ -135,10 +135,11 @@ def _models_for_length(case: BenchmarkCase, length: int):
 def run_mode(
     case: BenchmarkCase,
     mode: Mode,
-    overlap_ratio: float = 0.75,
-    steps: int = 100,
-    best_of_k: int = 3,
-    seed: int = 0,
+    *,
+    overlap_ratio: float,
+    steps: int,
+    best_of_k: int,
+    seed: int,
 ) -> BenchRow:
     """Run one separation strategy on the case under DEFAULT_SCHEDULE and
     score it."""
@@ -151,15 +152,14 @@ def run_mode(
         best_of_k=best_of_k,
         selection=Selection.ORACLE_SI_SDR,
     )
-    models = _models_for_length(case, config.model_length)
+    models = _models_for_length(case, config.model_plan(len(case.mixture)))
     result = separate(case.problem, models, config, references=case.references)
-    return _score_row(case, result.sources, mode.value, overlap_ratio, seed)
+    return _score_row(case, result.sources)
 
 
-def run_nmf_baseline(case: BenchmarkCase, seed: int = 0) -> BenchRow:
+def run_nmf_baseline(case: BenchmarkCase, *, seed: int) -> BenchRow:
     sep = separate_nmf(
         case.problem,
-        n_sources=2,
         components_per_source=8,
         iterations=200,
         seed=seed,
@@ -168,12 +168,10 @@ def run_nmf_baseline(case: BenchmarkCase, seed: int = 0) -> BenchRow:
         fmin=140.0,
         fmax=450.0,
     )
-    return _score_row(case, sep.sources, "nmf", 0.0, seed)
+    return _score_row(case, sep.sources)
 
 
-def _score_row(
-    case: BenchmarkCase, sources: List[Waveform], mode: str, overlap_ratio: float, seed: int
-) -> BenchRow:
+def _score_row(case: BenchmarkCase, sources: List[Waveform]) -> BenchRow:
     """SI-SDRi/SDRi against the references and the switch rate of the sources
     in their best-matching order."""
     report = evaluate(sources, case.references, case.mixture)
@@ -181,12 +179,7 @@ def _score_row(
         [sources[p] for p in report.permutation], case.prototypes, SWITCH_FRAME
     )
     return BenchRow(
-        mode=mode,
-        overlap_ratio=overlap_ratio,
-        seed=seed,
-        mean_si_sdri=report.mean_si_sdri,
-        mean_sdri=report.mean_sdri,
-        switch_rate=switch,
+        mean_si_sdri=report.mean_si_sdri, mean_sdri=report.mean_sdri, switch_rate=switch
     )
 
 

@@ -136,7 +136,6 @@ def _cmd_nmf(args) -> int:
     problem = MixtureProblem(mixture, MixingModel(sources=args.sources))
     sep = separate_nmf(
         problem,
-        n_sources=args.sources,
         components_per_source=args.components,
         iterations=args.iters,
         seed=args.seed,
@@ -245,7 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separate", help="diffusion posterior separation")
     p.add_argument("--mode", default="ar", choices=[m.value for m in Mode])
     p.add_argument("--mixture", required=True)
-    p.add_argument("--refs", nargs="*", default=None)
+    # the references set the source count, so it is given one way only. The
+    # string default is parsed like a given value: argparse then counts an
+    # explicit `--sources 2` as given, and it conflicts with --refs.
+    count = p.add_mutually_exclusive_group()
+    count.add_argument("--refs", nargs="*", default=None)
+    count.add_argument("--sources", type=int, default="2")
     p.add_argument("--bank", required=True,
                    help="directory of WAV exemplar segments")
     p.add_argument("--bandwidth", type=float, default=None)
@@ -254,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--best-of", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sources", type=int, default=2)
     p.add_argument("--integrator", default="heun", choices=[i.value for i in Integrator])
     p.add_argument("--sigma-min", type=float, default=0.01)
     p.add_argument("--sigma-max", type=float, default=10.0)

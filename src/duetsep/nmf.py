@@ -286,7 +286,6 @@ def _track_candidates(
 
 def separate_nmf(
     problem: MixtureProblem,
-    n_sources: int = 2,
     components_per_source: int = 8,
     iterations: int = 300,
     seed: int = 0,
@@ -295,12 +294,12 @@ def separate_nmf(
     fmin: float = 80.0,
     fmax: float = 500.0,
 ) -> NmfSeparation:
-    """Pitch-informed KL-NMF separation with Wiener-mask reconstruction."""
-    if n_sources < 2:
-        raise ConfigurationError("n_sources must be >= 2")
+    """Pitch-informed KL-NMF separation with Wiener-mask reconstruction: one
+    output per source of the problem."""
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     mix = problem.mixture
+    n_sources = problem.mixing.sources
     spec = stft(mix, frame_size, hop_size)
     V = spec.magnitudes
     bins, frames = V.shape

@@ -122,6 +122,12 @@ class SeparationConfig:
         hop-length pieces, every other mode segment-length ones."""
         return self.plan.hop if self.mode is Mode.SEGMENTED else self.plan.segment_length
 
+    def model_plan(self, signal_length: int) -> SegmentPlan:
+        """The pieces the score models see on a signal of this length. Only ar
+        and ar-tf overlap; naive re-plans this to its one padded span."""
+        overlap_ratio = self.plan.overlap_ratio if self.mode in (Mode.AR, Mode.AR_TF) else 0.0
+        return plan_segments(signal_length, self.model_length, overlap_ratio)
+
 
 @dataclass(frozen=True)
 class SegmentRecord:
@@ -184,6 +190,8 @@ def select_best_of_k(
         perms, sign = [tuple(range(n))], -1.0  # the smallest residual wins
     elif references is None:
         raise ConfigurationError("oracle selection requires references")
+    elif len(references) != n:
+        raise ShapeError(f"{len(references)} references for {n} sources")
     else:
         perms, sign = list(permutations(range(n))), 1.0
     best_key, best = -np.inf, (0, perms[0])
@@ -273,6 +281,10 @@ def separate(
     rate = problem.mixture.sample_rate
     ref_arrays = None
     if references is not None:
+        if len(references) != problem.mixing.sources:
+            raise ShapeError(
+                f"{len(references)} references for {problem.mixing.sources} sources"
+            )
         for r in references:
             if r.samples.shape != mixture.shape:
                 raise ShapeError("references must match the mixture length")
@@ -283,10 +295,8 @@ def separate(
         ref_arrays = [r.samples for r in references]
 
     # config.plan gives only the segment length and overlap ratio; the offsets
-    # come from this mixture. Only ar and ar-tf overlap, and naive runs once
-    # over the whole padded span.
-    overlap_ratio = config.plan.overlap_ratio if mode in (Mode.AR, Mode.AR_TF) else 0.0
-    plan = plan_segments(len(mixture), config.model_length, overlap_ratio)
+    # come from this mixture
+    plan = config.model_plan(len(mixture))
     if mode is Mode.NAIVE:
         # the one plan longer than the models: they score its span blockwise
         plan = plan_segments(plan.padded_length, plan.padded_length, 0.0)

@@ -76,8 +76,6 @@ def apply_inpaint(
     state = np.asarray(state, dtype=np.float64)
     if condition.mask.shape != state.shape:
         raise ShapeError("condition does not match state length")
-    if not np.any(condition.mask):
-        return state.copy()
     out = state.copy()
     m = condition.mask
     noise = rng.standard_normal(int(m.sum())) if sigma > 0 else 0.0

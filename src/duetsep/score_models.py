@@ -22,7 +22,6 @@ __all__ = [
     "GaussianPrior",
     "MixturePrior",
     "TiledScoreModel",
-    "gaussian_score",
     "mixture_score",
     "kde_prior_from_exemplars",
     "default_kde_bandwidth",
@@ -54,7 +53,11 @@ class GaussianPrior:
         return None if np.ndim(self.mean) == 0 else int(np.shape(self.mean)[0])
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        return gaussian_score(self, x, sigma)
+        """Exact score of the sigma-smoothed Gaussian: -(x - mean) / (variance + sigma^2)."""
+        if sigma < 0:
+            raise DomainError("sigma must be nonnegative")
+        x = np.asarray(x, dtype=np.float64)
+        return -(x - self.mean) / (self.variance + sigma**2)
 
     def log_density(self, x: np.ndarray, sigma: float) -> float:
         x = np.asarray(x, dtype=np.float64)
@@ -62,14 +65,6 @@ class GaussianPrior:
         d = x.size
         resid = x - self.mean
         return float(-0.5 * d * np.log(2 * np.pi * v) - 0.5 * np.dot(resid, resid) / v)
-
-
-def gaussian_score(prior: GaussianPrior, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Exact score of the sigma-smoothed Gaussian: -(x - mean) / (variance + sigma^2)."""
-    if sigma < 0:
-        raise DomainError("sigma must be nonnegative")
-    x = np.asarray(x, dtype=np.float64)
-    return -(x - prior.mean) / (prior.variance + sigma**2)
 
 
 @dataclass(frozen=True)

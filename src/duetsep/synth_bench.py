@@ -99,16 +99,11 @@ class ScenarioKind(Enum):
 
 @dataclass(frozen=True)
 class DuetScenario:
-    kind: ScenarioKind
     singers: Tuple[SingerSpec, SingerSpec]
     contours: Tuple[Contour, Contour]
-    duration: float
     crossing_times: Tuple[float, ...]
-    seed: int
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
         for c in self.contours:
             if np.any(c.freqs < F0_MIN) or np.any(c.freqs > F0_MAX):
                 raise ConfigurationError("contours must stay within [80, 1000] Hz")
@@ -219,14 +214,7 @@ def make_scenario(kind: ScenarioKind, duration: float, seed: int = 0) -> DuetSce
     else:
         raise ConfigurationError(f"unknown scenario kind {kind}")
     crossings = _crossing_times(contours[0], contours[1], duration)
-    return DuetScenario(
-        kind=kind,
-        singers=singers,
-        contours=contours,
-        duration=duration,
-        crossing_times=crossings,
-        seed=seed,
-    )
+    return DuetScenario(singers=singers, contours=contours, crossing_times=crossings)
 
 
 def build_exemplar_bank(

@@ -13,7 +13,8 @@ from duetsep import Waveform, bench, read_wav, write_wav
 from duetsep.bench import SweepSpec, build_case, run_mode, run_nmf_baseline, sweep
 from duetsep.cli import build_parser, main
 from duetsep.errors import ConfigurationError
-from duetsep.pipeline import Mode
+from duetsep.pipeline import Mode, SeparationConfig, plan_segments
+from duetsep.schedule import make_grid
 
 
 def run(argv):
@@ -148,6 +149,23 @@ class TestSeparateCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("sources", [2, 3])
+    def test_refs_and_sources_are_exclusive(self, scenario_dir, tmp_path, sources):
+        """The references set the source count; giving --sources as well is a
+        conflict, even when it names the default."""
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 2048), 8000))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
+            "--segment", 2048, "--steps", 2, "--best-of", 1, "--sources", sources,
+            "--refs", scenario_dir / "voice1.wav", scenario_dir / "voice2.wav",
+            "--out", out,
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_malformed_bank_exit_code(self, scenario_dir, tmp_path):
         """A bank is a directory of WAV segments: a missing path or a file
         exits 2."""
@@ -235,6 +253,46 @@ class TestEvalCommand:
                     "--mixture", scenario_dir / "mixture.wav",
                     "--out", tmp_path / "r.json"])
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def small_case():
+    return build_case(0, duration=2.5, segment_length=2048)
+
+
+class TestOracleBank:
+    @pytest.mark.parametrize("mode", [Mode.AR, Mode.SEGMENTED, Mode.NAIVE])
+    @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5, 0.6, 0.75, 0.9])
+    def test_bank_holds_every_scored_piece(self, small_case, monkeypatch, mode, overlap):
+        """run_mode's bank holds each reference piece the run scores, at any
+        overlap; at 0.75 it is the quarter-segment grid, row for row."""
+        banks = []
+        inner = bench.kde_prior_from_exemplars
+
+        def recording(bank, bandwidth):
+            banks.append(bank)
+            return inner(bank, bandwidth)
+
+        monkeypatch.setattr(bench, "kde_prior_from_exemplars", recording)
+        run_mode(small_case, mode, overlap_ratio=overlap, steps=1, best_of_k=1, seed=0)
+        (bank,) = banks
+        n, seg = len(small_case.mixture), small_case.segment_length
+        config = SeparationConfig(mode=mode, plan=plan_segments(n, seg, overlap),
+                                  grid=make_grid(bench.DEFAULT_SCHEDULE, 1))
+        plan = config.model_plan(n)
+        rows = {row.tobytes() for row in bank}
+        for ref in small_case.references:
+            padded = np.pad(ref.samples, (0, plan.padded_length))
+            for off in plan.offsets:
+                assert padded[off : off + plan.segment_length].tobytes() in rows
+        if overlap == 0.75:
+            grid = plan_segments(n, seg, 0.0).padded_length
+            quarter = [
+                np.pad(ref.samples, (0, grid - n))[off : off + plan.segment_length]
+                for ref in small_case.references
+                for off in range(0, grid - plan.segment_length + 1, seg // 4)
+            ]
+            np.testing.assert_array_equal(bank, quarter)
 
 
 class TestSweep:

@@ -219,7 +219,14 @@ class TestSeparateNmf:
         assert sep.used_random_init
         assert len(sep.sources) == 2
 
-    def test_n_sources_validation(self):
+    def test_one_output_per_problem_source(self):
         problem, _ = self.problem(n=4096)
+        three = MixtureProblem(problem.mixture, MixingModel(sources=3))
+        sep = separate_nmf(three, iterations=10, frame_size=1024, hop_size=256)
+        assert len(sep.sources) == 3
+        assert len(set(sep.model.source_of_component)) == 3
+
+    def test_n_sources_validation(self):
+        # the problem's mixing model is the only guard against < 2 sources
         with pytest.raises(ConfigurationError):
-            separate_nmf(problem, n_sources=1)
+            MixingModel(sources=1)

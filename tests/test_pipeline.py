@@ -134,6 +134,11 @@ class TestSelectBestOfK:
         with pytest.raises(ConfigurationError):
             select_best_of_k([[np.ones(4)]], Selection.ORACLE_SI_SDR, None, np.ones(4))
 
+    def test_oracle_reference_count_must_match(self):
+        cand = [np.ones(4), np.arange(4.0)]
+        with pytest.raises(ShapeError):
+            select_best_of_k([cand], Selection.ORACLE_SI_SDR, [np.ones(4)], np.ones(4))
+
     @pytest.mark.parametrize("selection", list(Selection))
     def test_ties_keep_first_candidate(self, selection):
         refs = [np.arange(8.0), np.cos(np.arange(8.0))]
@@ -387,6 +392,14 @@ class TestSeparate:
         cfg = make_config(Mode.SEGMENTED, 64, 32, 0.0, steps=5)
         with pytest.raises(ConfigurationError):
             separate(problem, models, cfg)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_reference_count_must_match_sources(self, count):
+        problem, refs = toy_problem(64)
+        models = toy_models(refs, 32)
+        cfg = make_config(Mode.SEGMENTED, 64, 32, 0.0, steps=5)
+        with pytest.raises(ShapeError):
+            separate(problem, models, cfg, references=(refs * 2)[:count])
 
     def test_reference_sample_rate_must_match(self):
         problem, refs = toy_problem(64)

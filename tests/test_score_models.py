@@ -7,7 +7,6 @@ from duetsep import (
     MixturePrior,
     TiledScoreModel,
     Waveform,
-    gaussian_score,
     kde_prior_from_exemplars,
     load_exemplar_bank,
     mixture_score,
@@ -76,7 +75,7 @@ class TestGaussianScore:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
-            gaussian_score(GaussianPrior(), np.zeros(3), -1.0)
+            GaussianPrior().score(np.zeros(3), -1.0)
 
 
 class TestMixtureScore:
