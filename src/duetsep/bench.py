@@ -282,6 +282,11 @@ def sweep(spec: SweepSpec, workers: int = 1) -> dict:
         raise ConfigurationError("sweep grid must be nonempty")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    for name in ("modes", "overlaps", "seeds"):
+        values = list(getattr(spec, name))
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigurationError(f"sweep {name} list {value!r} more than once")
     known = [m.value for m in Mode] + ["nmf"]
     for mode in spec.modes:
         if mode not in known:

@@ -1,8 +1,9 @@
 """Waveform container, mixing model, and mono WAV I/O.
 
-All audio is mono, double precision internally. Files may be 16-bit PCM or
-32-bit IEEE float, at any rate: nothing here depends on it (the benchmark and
-the command-line defaults use 8 kHz).
+All audio is mono, double precision internally. WAV files are read as 16-bit
+or 32-bit PCM or as IEEE float and written as 32-bit IEEE float, at any rate:
+nothing here depends on it (the benchmark and the command-line defaults use
+8 kHz).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import ConfigurationError, ParseError, ShapeError, UnsupportedFormatError
 
@@ -88,10 +88,13 @@ def mix(sources: Sequence[Waveform], mixing: MixingModel) -> Waveform:
 def read_wav(path) -> Waveform:
     """Read a mono PCM16, int32 or float WAV file as samples in about [-1, 1].
 
-    int16 divides by 32767, the inverse of write_wav's pcm16 scaling, so a
-    pcm16 file written here reads back to within 1/32767. int32 divides by
-    2^31, the full-scale convention of files written elsewhere.
+    int16 divides by 32767 and int32 by 2^31, the full-scale conventions of
+    the PCM files this reads.
     """
+    # imported here, not at module level: scipy.io adds ~22 MB to the peak
+    # memory of `import duetsep`, and most runs never touch a WAV file
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(os.fspath(path))
     except ValueError as exc:
@@ -111,13 +114,8 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, int(rate))
 
 
-def write_wav(path, waveform: Waveform, encoding: str = "float32") -> None:
-    """Write a Waveform as mono WAV; encoding is "float32" or "pcm16"."""
-    if encoding == "float32":
-        data = waveform.samples.astype(np.float32)
-    elif encoding == "pcm16":
-        scaled = np.round(waveform.samples * 32767.0)
-        data = np.clip(scaled, -32768, 32767).astype(np.int16)
-    else:
-        raise ConfigurationError(f"unknown WAV encoding {encoding!r}")
-    wavfile.write(os.fspath(path), waveform.sample_rate, data)
+def write_wav(path, waveform: Waveform) -> None:
+    """Write a Waveform as mono 32-bit float WAV."""
+    from scipy.io import wavfile
+
+    wavfile.write(os.fspath(path), waveform.sample_rate, waveform.samples.astype(np.float32))

@@ -151,8 +151,9 @@ def evaluate(estimates: Sequence, references: Sequence, mixture) -> EvalReport:
 
 
 def envelope_features(samples, frame: int) -> np.ndarray:
-    """Per-frame spectral-envelope features: log magnitudes of a 1024-point FFT
-    pooled into 24 triangular bands. Returns (n_frames, 24).
+    """Per-frame spectral-envelope features: log magnitudes of an FFT of
+    max(frame, 1024) points, so that no sample of a frame is dropped, pooled
+    into 24 triangular bands. Returns (n_frames, 24).
 
     Band logs are floored relative to the frame's own energy and mean-centered
     per frame, so the feature tracks the envelope shape (timbre), not level
@@ -166,7 +167,7 @@ def envelope_features(samples, frame: int) -> np.ndarray:
         raise DomainError("signal shorter than one frame")
     frames = x[: n_frames * frame].reshape(n_frames, frame)
     window = np.hanning(frame)
-    spec = np.abs(np.fft.rfft(frames * window, n=ENVELOPE_FFT, axis=1))
+    spec = np.abs(np.fft.rfft(frames * window, n=max(frame, ENVELOPE_FFT), axis=1))
     n_bins = spec.shape[1]
     centers = np.linspace(0, n_bins - 1, ENVELOPE_BANDS + 2)
     bands = np.empty((n_frames, ENVELOPE_BANDS))

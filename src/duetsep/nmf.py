@@ -65,8 +65,9 @@ def stft(waveform: Waveform, frame_size: int = 2048, hop_size: int = 512) -> Spe
     )
 
 
-def istft(spec: Spectrogram, length: Optional[int] = None) -> Waveform:
-    """Overlap-add inverse with squared-window normalization."""
+def istft(spec: Spectrogram, length: int) -> Waveform:
+    """Overlap-add inverse with squared-window normalization, cut to the
+    `length` samples of the signal that stft analysed."""
     frames = np.fft.irfft(spec.complex.T, n=spec.frame_size, axis=1)
     window = np.hanning(spec.frame_size)
     n_frames = frames.shape[0]
@@ -79,12 +80,7 @@ def istft(spec: Spectrogram, length: Optional[int] = None) -> Waveform:
         norm[lo : lo + spec.frame_size] += window**2
     out = out / np.maximum(norm, EPS)
     pad = spec.frame_size // 2
-    out = out[pad:]
-    if length is not None:
-        out = out[:length]
-    else:
-        out = out[: total - 2 * pad - spec.frame_size]
-    return Waveform(out, spec.sample_rate)
+    return Waveform(out[pad : pad + length], spec.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -237,6 +233,7 @@ def _harmonically_related(f: float, fa: float, tol: float = 0.04) -> bool:
 class NmfSeparation:
     sources: List[Waveform]
     model: NmfModel
+    # some source started from random templates: its pitch track was unvoiced
     used_random_init: bool
 
 
@@ -315,9 +312,11 @@ def separate_nmf(
     tracks = _track_candidates(cands, n_sources)
     W = np.full((bins, rank), EPS)
     H = np.full((rank, frames), EPS)
+    used_random_init = False
     for s in range(n_sources):
         voiced = tracks[s][~np.isnan(tracks[s])]
         if voiced.size == 0:
+            used_random_init = True
             rng = np.random.default_rng(seed + s)
             W[:, s * components_per_source : (s + 1) * components_per_source] = rng.uniform(
                 0.1, 1.0, size=(bins, components_per_source)
@@ -345,4 +344,4 @@ def separate_nmf(
         # and keeps the mixture's phases
         sub = replace(spec, complex=spec.complex * (Vs / WH))
         sources.append(istft(sub, length=len(mix)))
-    return NmfSeparation(sources=sources, model=model, used_random_init=not any(cands))
+    return NmfSeparation(sources=sources, model=model, used_random_init=used_random_init)

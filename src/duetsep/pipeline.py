@@ -255,15 +255,6 @@ def stitch(segments: Sequence[Sequence[np.ndarray]], plan: SegmentPlan) -> List[
     return list(out)
 
 
-def _segment_slice(x: np.ndarray, offset: int, length: int) -> np.ndarray:
-    """Slice with implicit zero padding past the end."""
-    out = np.zeros(length)
-    avail = min(length, x.shape[0] - offset)
-    if avail > 0:
-        out[:avail] = x[offset : offset + avail]
-    return out
-
-
 def separate(
     problem: MixtureProblem,
     models: Sequence[ScoreModel],
@@ -279,7 +270,6 @@ def separate(
         raise ConfigurationError(f"mode {mode.value} / oracle selection requires references")
     mixture = problem.mixture.samples
     rate = problem.mixture.sample_rate
-    ref_arrays = None
     if references is not None:
         if len(references) != problem.mixing.sources:
             raise ShapeError(
@@ -292,7 +282,6 @@ def separate(
                 raise ShapeError(
                     f"reference sample rate {r.sample_rate} differs from the mixture's {rate}"
                 )
-        ref_arrays = [r.samples for r in references]
 
     # config.plan gives only the segment length and overlap ratio; the offsets
     # come from this mixture
@@ -305,6 +294,13 @@ def separate(
             for m in models
         ]
 
+    # zero-padded once to the plan's span; each segment is a view into it
+    tail = (0, plan.padded_length - len(mixture))
+    padded_mix = np.pad(mixture, tail)
+    padded_refs = (
+        None if references is None else np.pad([r.samples for r in references], ((0, 0), tail))
+    )
+
     # the first `overlap` samples of each later segment are known: the
     # references (ar-tf) or the tail of the previous chosen output, which
     # lies under them since the offsets step by the hop
@@ -312,12 +308,9 @@ def separate(
     records: List[SegmentRecord] = []
     seg_outputs: List[List[np.ndarray]] = []
     for j, off in enumerate(plan.offsets):
-        seg_mix = _segment_slice(mixture, off, plan.segment_length)
-        seg_refs = (
-            [_segment_slice(r, off, plan.segment_length) for r in ref_arrays]
-            if ref_arrays is not None
-            else None
-        )
+        span = slice(off, off + plan.segment_length)
+        seg_mix = padded_mix[span]
+        seg_refs = None if padded_refs is None else padded_refs[:, span]
         conditions = None
         if plan.overlap > 0 and j > 0:
             values = (

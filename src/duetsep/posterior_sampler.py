@@ -117,17 +117,14 @@ def _integrate(
     return x
 
 
-def sample_prior(model: ScoreModel, config: SamplerConfig, length: Optional[int] = None) -> np.ndarray:
-    """Integrate the flow from Gaussian noise at sigma_max down to sigma_min.
-
-    Deterministic given config.seed. `length` is required only when the model
-    has no native_length.
+def sample_prior(model: ScoreModel, config: SamplerConfig) -> np.ndarray:
+    """Integrate the flow from Gaussian noise at sigma_max down to sigma_min,
+    at the model's native_length. Deterministic given config.seed.
     """
-    n = model.native_length if model.native_length is not None else length
-    if n is None:
-        raise ConfigurationError("model has no native_length; pass length explicitly")
+    if model.native_length is None:
+        raise ConfigurationError("sample_prior needs a model with a native_length")
     rng = np.random.default_rng(config.seed)
-    x = rng.standard_normal(n) * config.grid.sigmas[0]
+    x = rng.standard_normal(model.native_length) * config.grid.sigmas[0]
     return _integrate(x, lambda x, s: -s * model.score(x, s), config)
 
 
@@ -165,15 +162,15 @@ def sample_posterior(
     problem: MixtureProblem,
     models: Sequence[ScoreModel],
     config: SamplerConfig,
-    conditions: Optional[Sequence[Optional[InpaintCondition]]] = None,
+    conditions: Optional[Sequence[InpaintCondition]] = None,
 ) -> List[np.ndarray]:
     """Sample all N sources given the mixture.
 
     The N-1 free sources are integrated under the posterior gradient; the
     constrained source is emitted as mixture minus the free sources, so the
     outputs always sum exactly to the mixture. `conditions`, when given, holds
-    one optional InpaintCondition per free source (s_2..s_N); masked positions
-    are re-clamped with matched noise after every integrator step.
+    one InpaintCondition per free source (s_2..s_N); masked positions are
+    re-clamped with matched noise after every integrator step.
     """
     n = len(models)
     if n != problem.mixing.sources:
@@ -187,27 +184,24 @@ def sample_posterior(
             raise ShapeError(
                 f"model native_length {m.native_length} != mixture length {length}"
             )
+
+    rng = np.random.default_rng(config.seed)
+    sigma_max = config.grid.sigmas[0]
+    states = rng.standard_normal((n - 1, length)) * sigma_max
+    clamp = None
     if conditions is not None:
         if len(conditions) != n - 1:
             raise ConfigurationError(
                 f"expected {n - 1} conditions (one per free source), got {len(conditions)}"
             )
-        for c in conditions:
-            if c is not None and c.mask.shape[0] != length:
-                raise ShapeError("condition mask length does not match the mixture")
-    else:
-        conditions = [None] * (n - 1)
+        if any(c.mask.shape[0] != length for c in conditions):
+            raise ShapeError("condition mask length does not match the mixture")
 
-    rng = np.random.default_rng(config.seed)
-
-    def clamp(states: np.ndarray, sigma: float) -> None:
-        for i, c in enumerate(conditions):
-            if c is not None:
+        def clamp(states: np.ndarray, sigma: float) -> None:
+            for i, c in enumerate(conditions):
                 states[i] = apply_inpaint(states[i], c, sigma, rng)
 
-    sigma_max = config.grid.sigmas[0]
-    states = rng.standard_normal((n - 1, length)) * sigma_max
-    clamp(states, sigma_max)
+        clamp(states, sigma_max)
     states = _integrate(
         states,
         lambda x, s: -s * posterior_score(models, x, mixture, s),

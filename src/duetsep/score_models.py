@@ -214,14 +214,14 @@ def default_kde_bandwidth(exemplars: np.ndarray) -> float:
 def kde_prior_from_exemplars(
     exemplars: Sequence[np.ndarray] | np.ndarray, bandwidth: float
 ) -> MixturePrior:
-    """Uniform-weight mixture with one component per exemplar, variance bandwidth^2."""
+    """Uniform-weight mixture with one component per exemplar, variance
+    bandwidth^2. The exemplars are the rows of a (count, length) array, or a
+    list of 1-D arrays of one length."""
     arr = np.asarray(exemplars, dtype=np.float64)
     if arr.size == 0:
         raise ConfigurationError("exemplar list must be nonempty")
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2:
-        raise ShapeError("exemplars must share a uniform length")
+        raise ShapeError(f"exemplars must form a (count, length) array, got shape {arr.shape}")
     if not bandwidth > 0:  # NaN fails too
         raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
     k = arr.shape[0]

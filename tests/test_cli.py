@@ -350,10 +350,11 @@ class TestSweep:
         assert serial == direct
 
     def test_bench_import_stays_light(self):
-        # perfbench times `import duetsep.bench`; scipy.stats would double it
+        # perfbench times `import duetsep.bench`; scipy.stats would double it,
+        # and scipy.io, which only WAV reading and writing need, adds ~22 MB
         src = str(Path(duetsep.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import duetsep.bench; "
-                "print(sorted({'scipy.stats', 'duetsep.cli'} & set(sys.modules)))")
+                "print(sorted({'scipy.stats', 'scipy.io', 'duetsep.cli'} & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
@@ -371,10 +372,24 @@ class TestSweep:
             sweep(SweepSpec(modes=["nmf"], overlaps=[0.5, 1.0], seeds=[0]))
 
     @pytest.mark.parametrize(
+        "name, values",
+        [("modes", ["nmf", "segmented", "nmf"]), ("overlaps", [0.5, 0.25, 0.5]),
+         ("seeds", [0, 0])],
+    )
+    def test_repeated_grid_value_rejected(self, monkeypatch, name, values):
+        # a repeated value would run its rows twice and count them twice in
+        # the cells and the sign test
+        monkeypatch.setattr(bench, "build_case", None)
+        grid = {"modes": ["nmf"], "overlaps": [0.5], "seeds": [0], name: values}
+        with pytest.raises(ConfigurationError, match=f"{name} list {values[0]!r}"):
+            sweep(SweepSpec(**grid))
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--steps", 0), ("--best-of", 0), ("--duration", 0.0), ("--duration", -1.0),
          ("--duration", "nan"), ("--duration", 1.5), ("--duration", "inf"),
-         ("--segment", 0), ("--overlaps", 0.9999), ("--seeds", "0 -1"), ("--workers", 0)],
+         ("--segment", 0), ("--overlaps", 0.9999), ("--seeds", "0 -1"), ("--seeds", "0 0"),
+         ("--workers", 0)],
     )
     def test_bad_numeric_setting_exit_code(self, tmp_path, monkeypatch, flag, value):
         # a malformed number fails before any case is rendered, with exit 2

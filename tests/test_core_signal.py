@@ -85,17 +85,14 @@ class TestWavIO:
         return Waveform(0.8 * np.sin(2 * np.pi * 440 * t), rate)
 
     def test_float_roundtrip_exact(self, tmp_path):
+        from scipy.io import wavfile
+
         w = Waveform(self.sine().samples.astype(np.float32).astype(np.float64), 24000)
-        write_wav(tmp_path / "a.wav", w, encoding="float32")
+        write_wav(tmp_path / "a.wav", w)
+        assert wavfile.read(tmp_path / "a.wav")[1].dtype == np.float32
         back = read_wav(tmp_path / "a.wav")
         assert back.sample_rate == 24000
         assert np.max(np.abs(back.samples - w.samples)) == 0.0
-
-    def test_pcm16_roundtrip_bound(self, tmp_path):
-        w = self.sine()
-        write_wav(tmp_path / "a.wav", w, encoding="pcm16")
-        back = read_wav(tmp_path / "a.wav")
-        assert np.max(np.abs(back.samples - w.samples)) <= 2**-15
 
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "bad.wav"
@@ -111,29 +108,14 @@ class TestWavIO:
         with pytest.raises(UnsupportedFormatError):
             read_wav(tmp_path / "st.wav")
 
-    @given(
-        data=arrays(
-            np.float64,
-            st.integers(8, 64),
-            elements=st.floats(-1, 1, allow_nan=False, width=32),
-        )
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_pcm_roundtrip_property(self, data, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("wav")
-        w = Waveform(data, 8000)
-        write_wav(tmp / "x.wav", w, encoding="pcm16")
-        back = read_wav(tmp / "x.wav")
-        assert np.max(np.abs(back.samples - w.samples)) <= 2**-15
-
     @given(data=arrays(np.int16, st.integers(1, 64)))
     @settings(max_examples=25, deadline=None)
     def test_pcm16_int_roundtrip_property(self, data, tmp_path_factory):
+        # PCM16 files come from elsewhere: write one with scipy directly
         from scipy.io import wavfile
 
         path = tmp_path_factory.mktemp("wav") / "x.wav"
-        w = Waveform(data / 32767.0, 8000)
-        write_wav(path, w, encoding="pcm16")
-        np.testing.assert_array_equal(wavfile.read(path)[1], data)
+        wavfile.write(path, 8000, data)
         back = read_wav(path)
-        assert np.max(np.abs(back.samples - w.samples)) <= 1 / 32767
+        assert back.sample_rate == 8000
+        assert np.max(np.abs(back.samples - data / 32767.0)) <= 1 / 32767

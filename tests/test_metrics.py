@@ -191,6 +191,15 @@ class TestEnvelopeFeatures:
         b = envelope_features(10.0 * x, 512)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
+    def test_long_frame_reads_every_sample(self):
+        # a frame longer than the 1024-point FFT is analysed whole: a tone in
+        # each frame's second half shows in its features
+        frame = 2048
+        half = np.sin(2 * np.pi * 0.05 * np.arange(frame // 2))
+        x = np.tile(np.concatenate([np.zeros(frame // 2), half]), 3)
+        feats = envelope_features(x, frame)
+        assert np.ptp(feats, axis=1).min() > 1.0
+
     def test_too_short(self):
         with pytest.raises(DomainError):
             envelope_features(np.zeros(10), 512)

@@ -52,7 +52,7 @@ class TestSamplePrior:
         smin, smax = 0.01, 10.0
         model = GaussianPrior(mean=np.full(4, mean), variance=v)
         cfg = config(steps=200, seed=11, smin=smin, smax=smax)
-        out = sample_prior(model, cfg, length=4)
+        out = sample_prior(model, cfg)
         rng = np.random.default_rng(11)
         x0 = rng.standard_normal(4) * smax
         ratio = np.sqrt((v + smin**2) / (v + smax**2))
@@ -87,8 +87,6 @@ class TestSamplePrior:
         model = GaussianPrior(mean=0.0, variance=1.0)
         with pytest.raises(ConfigurationError):
             sample_prior(model, config())
-        out = sample_prior(model, config(), length=6)
-        assert out.shape == (6,)
 
     def test_divergence_raises_with_step(self):
         class Exploding:

@@ -309,6 +309,11 @@ class TestKdePrior:
         with pytest.raises(ConfigurationError):
             kde_prior_from_exemplars(np.zeros((0, 4)), 0.1)
 
+    def test_bare_vector_rejected(self):
+        # one exemplar is a (1, length) array or a list of one vector
+        with pytest.raises(ShapeError, match=r"\(count, length\)"):
+            kde_prior_from_exemplars(np.array([1.0, 2.0]), 0.5)
+
     def test_default_bandwidth(self):
         ex = np.full((3, 4), 2.0)
         assert default_kde_bandwidth(ex) == pytest.approx(0.2)
