@@ -3,7 +3,6 @@ auto-regressive overlapped-segment inpainting, verified at desk scale with
 closed-form score models and a synthetic duet benchmark."""
 
 from .core_signal import (
-    MixingModel,
     MixtureProblem,
     Waveform,
     mix,

@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core_signal import MixingModel, MixtureProblem, Waveform, mix
+from .core_signal import MixtureProblem, Waveform, mix
 from .errors import ConfigurationError
 from .metrics import evaluate, identity_switch_rate
 from .nmf import separate_nmf
@@ -82,7 +82,7 @@ def render_duet(
         render_voice(spec, contour, sample_rate, duration, seed=int(rng.integers(2**31)))
         for spec, contour in zip(scenario.singers, scenario.contours)
     ]
-    return scenario, voices, mix(voices, MixingModel(sources=2))
+    return scenario, voices, mix(voices)
 
 
 def build_case(
@@ -93,10 +93,8 @@ def build_case(
 ) -> BenchmarkCase:
     """Render one scenario at BENCH_RATE with its switch-rate prototypes."""
     scenario, (v1, v2), mixture = render_duet(kind, duration, seed)
-    problem = MixtureProblem(mixture, MixingModel(sources=2))
-    prototypes = identity_prototypes(
-        list(scenario.singers), SWITCH_FRAME, BENCH_RATE, seed=7
-    )
+    problem = MixtureProblem(mixture)
+    prototypes = identity_prototypes(list(scenario.singers), SWITCH_FRAME, seed=7)
     return BenchmarkCase(
         scenario=scenario,
         references=[v1, v2],

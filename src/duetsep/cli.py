@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bench
-from .core_signal import MixingModel, MixtureProblem, read_wav, write_wav
+from .core_signal import MixtureProblem, read_wav, write_wav
 from .errors import ConfigurationError, DomainError, ParseError, ShapeError
 from .metrics import evaluate
 from .nmf import separate_nmf
@@ -96,22 +96,24 @@ def _cmd_separate(args) -> int:
             f"bank sample rate {bank_rate} differs from the mixture's {mixture.sample_rate}"
         )
     bandwidth = default_kde_bandwidth(exemplars) if args.bandwidth is None else args.bandwidth
-    problem = MixtureProblem(mixture, MixingModel(sources=n_sources))
+    problem = MixtureProblem(mixture, n_sources)
     schedule = NoiseSchedule(sigma_min=args.sigma_min, sigma_max=args.sigma_max)
+    mode = Mode(args.mode)
+    # the bank's exemplar length is the one length its prior scores: every
+    # mode plans its segments at it, and checks --overlap, but segmented
+    # scores disjoint pieces
+    plan = plan_segments(len(mixture), exemplars.shape[1], args.overlap)
+    if mode is Mode.SEGMENTED:
+        plan = plan_segments(len(mixture), plan.segment_length, 0.0)
     config = SeparationConfig(
-        mode=Mode(args.mode),
-        plan=plan_segments(len(mixture), args.segment, args.overlap),
+        mode=mode,
+        plan=plan,
         grid=make_grid(schedule, args.steps),
         integrator=Integrator(args.integrator),
         seed=args.seed,
         best_of_k=args.best_of,
         selection=Selection.ORACLE_SI_SDR if references else Selection.MIXTURE_RESIDUAL,
     )
-    if exemplars.shape[1] != config.model_length:
-        raise ConfigurationError(
-            f"bank exemplar length {exemplars.shape[1]} does not match the "
-            f"model segment length {config.model_length}"
-        )
     prior = kde_prior_from_exemplars(exemplars, bandwidth)
     result = separate(problem, [prior] * n_sources, config, references=references)
     out_dir = Path(args.out)
@@ -133,7 +135,7 @@ def _cmd_separate(args) -> int:
 
 def _cmd_nmf(args) -> int:
     mixture = read_wav(args.mixture)
-    problem = MixtureProblem(mixture, MixingModel(sources=args.sources))
+    problem = MixtureProblem(mixture, args.sources)
     sep = separate_nmf(
         problem,
         components_per_source=args.components,
@@ -254,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of WAV exemplar segments")
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--overlap", type=float, default=0.75)
-    p.add_argument("--segment", type=int, default=131072)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--best-of", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

@@ -1,4 +1,4 @@
-"""Waveform container, mixing model, and mono WAV I/O.
+"""Waveform container, mixture problem, and mono WAV I/O.
 
 All audio is mono, double precision internally. WAV files are read as 16-bit
 or 32-bit PCM or as IEEE float and written as 32-bit IEEE float, at any rate:
@@ -18,7 +18,6 @@ from .errors import ConfigurationError, ParseError, ShapeError, UnsupportedForma
 
 __all__ = [
     "Waveform",
-    "MixingModel",
     "MixtureProblem",
     "mix",
     "read_wav",
@@ -50,32 +49,23 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class MixingModel:
-    """N sources summed sample by sample into one channel, without noise."""
-
-    sources: int = 2
-
-    def __post_init__(self):
-        if self.sources < 2:
-            raise ConfigurationError("separation problems need at least 2 sources")
-
-
-@dataclass(frozen=True)
 class MixtureProblem:
+    """A mixture of `sources` signals summed sample by sample, without noise."""
+
     mixture: Waveform
-    mixing: MixingModel
+    sources: int = 2
 
     def __post_init__(self):
         if len(self.mixture) == 0:
             raise ShapeError("mixture must be nonempty")
+        if self.sources < 2:
+            raise ConfigurationError("separation problems need at least 2 sources")
 
 
-def mix(sources: Sequence[Waveform], mixing: MixingModel) -> Waveform:
+def mix(sources: Sequence[Waveform]) -> Waveform:
     """The exact sample-wise sum of the sources."""
-    if len(sources) != mixing.sources:
-        raise ConfigurationError(
-            f"expected {mixing.sources} sources, got {len(sources)}"
-        )
+    if len(sources) < 2:
+        raise ConfigurationError(f"a mixture needs at least 2 sources, got {len(sources)}")
     first = sources[0]
     for s in sources[1:]:
         if len(s) != len(first):

@@ -223,10 +223,10 @@ def pitch_candidates(
     return out
 
 
-def _harmonically_related(f: float, fa: float, tol: float = 0.04) -> bool:
+def _harmonically_related(f: float, fa: float) -> bool:
     ratio = max(f, fa) / min(f, fa)
     k = round(ratio)
-    return k >= 1 and abs(ratio - k) < tol * k
+    return k >= 1 and abs(ratio - k) < 0.04 * k
 
 
 @dataclass(frozen=True)
@@ -295,8 +295,12 @@ def separate_nmf(
     output per source of the problem."""
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if components_per_source < 1:
+        raise ConfigurationError(
+            f"components_per_source must be >= 1, got {components_per_source}"
+        )
     mix = problem.mixture
-    n_sources = problem.mixing.sources
+    n_sources = problem.sources
     spec = stft(mix, frame_size, hop_size)
     V = spec.magnitudes
     bins, frames = V.shape
@@ -332,9 +336,7 @@ def separate_nmf(
                 near = np.abs(np.log(tracks[s] / f0)) < np.log(2) / 6  # within ~2 semitones
             H[comp, np.flatnonzero(near)] = 1.0
         H[s * components_per_source : (s + 1) * components_per_source] += 0.01
-    model = nmf_fit(
-        V, rank, iterations, seed=seed, init_W=W, init_H=H, source_of_component=src_map
-    )
+    model = nmf_fit(V, rank, iterations, init_W=W, init_H=H, source_of_component=src_map)
     WH = np.maximum(model.W @ model.H, EPS)
     sources = []
     for s in range(n_sources):

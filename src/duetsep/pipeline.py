@@ -116,17 +116,15 @@ class SeparationConfig:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
-    @property
-    def model_length(self) -> int:
-        """Length of the pieces the score models see: segmented scores
-        hop-length pieces, every other mode segment-length ones."""
-        return self.plan.hop if self.mode is Mode.SEGMENTED else self.plan.segment_length
-
     def model_plan(self, signal_length: int) -> SegmentPlan:
-        """The pieces the score models see on a signal of this length. Only ar
-        and ar-tf overlap; naive re-plans this to its one padded span."""
+        """The pieces the score models see on a signal of this length:
+        segmented scores disjoint hop-length pieces, every other mode
+        segment-length ones. Only ar and ar-tf overlap; naive re-plans this to
+        its one padded span."""
+        if self.mode is Mode.SEGMENTED:
+            return plan_segments(signal_length, self.plan.hop, 0.0)
         overlap_ratio = self.plan.overlap_ratio if self.mode in (Mode.AR, Mode.AR_TF) else 0.0
-        return plan_segments(signal_length, self.model_length, overlap_ratio)
+        return plan_segments(signal_length, self.plan.segment_length, overlap_ratio)
 
 
 @dataclass(frozen=True)
@@ -271,10 +269,8 @@ def separate(
     mixture = problem.mixture.samples
     rate = problem.mixture.sample_rate
     if references is not None:
-        if len(references) != problem.mixing.sources:
-            raise ShapeError(
-                f"{len(references)} references for {problem.mixing.sources} sources"
-            )
+        if len(references) != problem.sources:
+            raise ShapeError(f"{len(references)} references for {problem.sources} sources")
         for r in references:
             if r.samples.shape != mixture.shape:
                 raise ShapeError("references must match the mixture length")
@@ -319,7 +315,7 @@ def separate(
                 else [np.pad(s[plan.hop :], (0, plan.hop)) for s in seg_outputs[-1]]
             )
             conditions = [InpaintCondition(mask=known, values=v) for v in values[1:]]
-        seg_problem = MixtureProblem(Waveform(seg_mix, rate), problem.mixing)
+        seg_problem = MixtureProblem(Waveform(seg_mix, rate), problem.sources)
         seeds = [_candidate_seed(config.seed, j, c) for c in range(config.best_of_k)]
         candidates = [
             sample_posterior(

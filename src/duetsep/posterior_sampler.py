@@ -173,10 +173,8 @@ def sample_posterior(
     re-clamped with matched noise after every integrator step.
     """
     n = len(models)
-    if n != problem.mixing.sources:
-        raise ConfigurationError(
-            f"problem declares {problem.mixing.sources} sources, got {n} models"
-        )
+    if n != problem.sources:
+        raise ConfigurationError(f"problem declares {problem.sources} sources, got {n} models")
     mixture = problem.mixture.samples
     length = mixture.shape[0]
     for m in models:

@@ -21,9 +21,11 @@ class NoiseSchedule:
     sigma_max: float = 10.0
 
     def __post_init__(self):
-        if not (0 < self.sigma_min < self.sigma_max < np.inf):
+        # the scores add sigma^2 to the prior variances, so it must be finite
+        if not (0 < self.sigma_min < self.sigma_max < np.sqrt(np.finfo(np.float64).max)):
             raise ConfigurationError(
-                f"need 0 < sigma_min < sigma_max < inf, got {self.sigma_min}, {self.sigma_max}"
+                "need 0 < sigma_min < sigma_max with a finite sigma_max^2, "
+                f"got {self.sigma_min}, {self.sigma_max}"
             )
 
 

@@ -43,8 +43,8 @@ class GaussianPrior:
     variance: float = 1.0
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ConfigurationError("variance must be positive")
+        if not 0 < self.variance < np.inf:  # NaN fails too
+            raise ConfigurationError(f"variance must be positive and finite, got {self.variance}")
         if np.ndim(self.mean) > 0:
             object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
 
@@ -94,16 +94,21 @@ class MixturePrior:
             raise ConfigurationError("mixture needs at least one component")
         if m.ndim != 2 or m.shape[0] != w.size or v.shape != (w.size,):
             raise ShapeError("inconsistent mixture component shapes")
-        if np.any(w <= 0) or np.any(v <= 0):
-            raise ConfigurationError("weights and variances must be positive")
+        # written so that NaN fails; the (K,) norms |mu|^2 stand in for the
+        # (K, d) means, which are not read a second time
+        if not (np.all((0 < w) & (w < np.inf)) and np.all((0 < v) & (v < np.inf))):
+            raise ConfigurationError("weights and variances must be positive and finite")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ConfigurationError("weights must sum to 1 within 1e-12")
+        means_sq = np.einsum("kd,kd->k", m, m)
+        if not np.all(np.isfinite(means_sq)):
+            raise ConfigurationError("means must be finite, with finite squared norms")
         for name, arr in (("weights", w), ("means", m), ("variances", v)):
             view = arr.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
         object.__setattr__(self, "_log_weights", np.log(w))
-        object.__setattr__(self, "_means_sq", np.einsum("kd,kd->k", m, m))
+        object.__setattr__(self, "_means_sq", means_sq)
         object.__setattr__(self, "_sigma_cache", (None, None, None))
 
     @property
@@ -217,18 +222,25 @@ def kde_prior_from_exemplars(
     """Uniform-weight mixture with one component per exemplar, variance
     bandwidth^2. The exemplars are the rows of a (count, length) array, or a
     list of 1-D arrays of one length."""
-    arr = np.asarray(exemplars, dtype=np.float64)
+    try:
+        arr = np.asarray(exemplars, dtype=np.float64)
+    except ValueError as exc:  # numpy's message for ragged rows
+        raise ShapeError(f"exemplars must form a (count, length) array: {exc}") from None
     if arr.size == 0:
         raise ConfigurationError("exemplar list must be nonempty")
     if arr.ndim != 2:
         raise ShapeError(f"exemplars must form a (count, length) array, got shape {arr.shape}")
-    if not bandwidth > 0:  # NaN fails too
-        raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
+    with np.errstate(over="ignore"):
+        variance = np.float64(bandwidth) ** 2
+    if not (bandwidth > 0 and variance < np.inf):  # NaN fails too
+        raise ConfigurationError(
+            f"bandwidth must be positive with a finite square, got {bandwidth}"
+        )
     k = arr.shape[0]
     return MixturePrior(
         weights=np.full(k, 1.0 / k),
         means=arr,
-        variances=np.full(k, bandwidth**2),
+        variances=np.full(k, variance),
     )
 
 

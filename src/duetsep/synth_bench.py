@@ -121,6 +121,10 @@ def render_voice(
         raise ConfigurationError(f"sample_rate must be positive, got {sample_rate}")
     if duration <= 0:
         raise DomainError("duration must be positive")
+    if not duration * sample_rate < np.iinfo(np.intp).max:  # inf fails too
+        raise ConfigurationError(
+            f"duration {duration} s at {sample_rate} Hz exceeds the longest array"
+        )
     n = int(round(duration * sample_rate))
     if n < 1:
         raise DomainError("duration rounds to an empty waveform")
@@ -159,15 +163,9 @@ def render_voice(
     return Waveform(out, sample_rate)
 
 
-def _random_contour(
-    rng: np.random.Generator,
-    duration: float,
-    lo: float,
-    hi: float,
-    n_anchors: int = 5,
-) -> Contour:
-    times = np.linspace(0, duration, n_anchors)
-    freqs = rng.uniform(lo, hi, size=n_anchors)
+def _random_contour(rng: np.random.Generator, duration: float, lo: float, hi: float) -> Contour:
+    times = np.linspace(0, duration, 5)
+    freqs = rng.uniform(lo, hi, size=5)
     return Contour(times, freqs)
 
 
@@ -222,22 +220,22 @@ def build_exemplar_bank(
     segment_length: int,
     count_per_singer: int,
     seed: int = 0,
-    sample_rate: int = BENCH_RATE,
 ) -> np.ndarray:
-    """Render varied phrases per singer and slice them into RMS-normalized
-    exemplars of segment_length samples. Returns (count, segment_length)."""
+    """Render varied phrases per singer at BENCH_RATE and slice them into
+    RMS-normalized exemplars of segment_length samples. Returns
+    (count, segment_length)."""
     if count_per_singer < 1:
         raise ConfigurationError("count_per_singer must be >= 1")
     rng = np.random.default_rng(seed)
-    phrase_dur = max(2.0, 1.5 * segment_length / sample_rate)
-    if segment_length > int(phrase_dur * sample_rate):
+    phrase_dur = max(2.0, 1.5 * segment_length / BENCH_RATE)
+    if segment_length > int(phrase_dur * BENCH_RATE):
         raise ConfigurationError("segment_length longer than rendered phrases")
     bank = []
     for spec in specs:
         for _ in range(count_per_singer):
             contour = _random_contour(rng, phrase_dur, 170.0, 380.0)
             voice = render_voice(
-                spec, contour, sample_rate, phrase_dur, seed=int(rng.integers(2**31))
+                spec, contour, BENCH_RATE, phrase_dur, seed=int(rng.integers(2**31))
             )
             start = int(rng.integers(0, len(voice) - segment_length + 1))
             seg = voice.samples[start : start + segment_length]
@@ -247,12 +245,10 @@ def build_exemplar_bank(
 
 
 def identity_prototypes(
-    specs: Sequence[SingerSpec],
-    frame: int,
-    sample_rate: int = BENCH_RATE,
-    seed: int = 0,
+    specs: Sequence[SingerSpec], frame: int, seed: int = 0
 ) -> List[np.ndarray]:
-    """Per-singer spectral-envelope centroids for the switch-rate diagnostic."""
+    """Per-singer spectral-envelope centroids at BENCH_RATE for the switch-rate
+    diagnostic."""
     rng = np.random.default_rng(seed)
     protos = []
     for spec in specs:
@@ -260,7 +256,7 @@ def identity_prototypes(
         for _ in range(4):
             contour = _random_contour(rng, 2.0, 180.0, 350.0)
             voice = render_voice(
-                spec, contour, sample_rate, 2.0, seed=int(rng.integers(2**31))
+                spec, contour, BENCH_RATE, 2.0, seed=int(rng.integers(2**31))
             )
             feats.append(envelope_features(voice.samples, frame))
         protos.append(np.mean(np.concatenate(feats, axis=0), axis=0))

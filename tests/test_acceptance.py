@@ -18,7 +18,6 @@ from duetsep import (
     GaussianPrior,
     InpaintCondition,
     Integrator,
-    MixingModel,
     MixtureProblem,
     MixturePrior,
     Mode,
@@ -134,7 +133,7 @@ def test_criterion_3_gaussian_posterior_oracle():
         mu1, mu2, x = 0.3, -0.5, 2.0
         p1 = GaussianPrior(mean=np.array([mu1]), variance=v)
         p2 = GaussianPrior(mean=np.array([mu2]), variance=v)
-        problem = MixtureProblem(Waveform(np.array([x]), 8000), MixingModel(sources=2))
+        problem = MixtureProblem(Waveform(np.array([x]), 8000), 2)
         grid = make_grid(NoiseSchedule(0.01, 100.0), 100)
         target = mu2 + v / (v + v) * (x - mu1 - mu2)
         frees, sum_errs = [], []
@@ -163,7 +162,7 @@ def test_criterion_4_inpainting_clamp():
         mask[: n // 2] = True
         cond = InpaintCondition(mask, truth)
         p = GaussianPrior(mean=np.zeros(n), variance=1.0)
-        problem = MixtureProblem(Waveform(mixture, 8000), MixingModel(sources=2))
+        problem = MixtureProblem(Waveform(mixture, 8000), 2)
         grid = make_grid(NoiseSchedule(sigma_min, 10.0), 50)
         devs = []
         for seed in range(100):
@@ -182,7 +181,7 @@ def test_criterion_5_reduction_identities():
         # AR with overlap 0 is bit-identical to Segmented under shared seeds
         rng = np.random.default_rng(1)
         s1, s2 = rng.normal(size=128) * 0.5, rng.normal(size=128) * 0.5
-        problem = MixtureProblem(Waveform(s1 + s2, 8000), MixingModel(sources=2))
+        problem = MixtureProblem(Waveform(s1 + s2, 8000), 2)
         refs = [Waveform(s1, 8000), Waveform(s2, 8000)]
         prior = kde_prior_from_exemplars(
             np.stack([s1[:32], s2[:32]]), bandwidth=0.1
@@ -278,7 +277,7 @@ def test_criterion_7_nmf_properties():
         # spectra reassemble the mixture spectrum wherever the model has energy
         t = np.arange(8000) / 8000.0
         mix_sig = 0.4 * np.sin(2 * np.pi * 220 * t) + 0.4 * np.sin(2 * np.pi * 330 * t)
-        problem = MixtureProblem(Waveform(mix_sig, 8000), MixingModel(sources=2))
+        problem = MixtureProblem(Waveform(mix_sig, 8000), 2)
         sep = separate_nmf(problem, iterations=60, frame_size=1024, hop_size=256,
                            fmin=150.0, fmax=450.0)
         spec = stft(problem.mixture, 1024, 256)

@@ -46,7 +46,8 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--rate", 0), ("--rate", -5), ("--duration", "nan"), ("--seed", -1)],
+        [("--rate", 0), ("--rate", -5), ("--duration", "nan"), ("--duration", 1e308),
+         ("--seed", -1)],
     )
     def test_malformed_flag_exit_code(self, tmp_path, flag, value):
         out = tmp_path / "x"
@@ -73,7 +74,7 @@ class TestSeparateCommand:
             "--mixture", scenario_dir / "mixture.wav",
             "--refs", scenario_dir / "voice1.wav", scenario_dir / "voice2.wav",
             "--bank", bank_dir,
-            "--segment", 2048, "--overlap", 0.5, "--steps", 30,
+            "--overlap", 0.5, "--steps", 30,
             "--best-of", 1, "--sigma-min", 0.005, "--sigma-max", 2.0,
             "--out", out,
         ])
@@ -85,16 +86,64 @@ class TestSeparateCommand:
         s1 = read_wav(out / "source1.wav")
         assert len(s1) == len(mixture)
 
-    def test_bank_length_mismatch_exit_code(self, scenario_dir, tmp_path):
+    def test_bank_sets_the_segment_length(self, scenario_dir, tmp_path):
+        """A bank of any exemplar length runs: its length is the segment length."""
         bank_dir = tmp_path / "bank"
         bank_dir.mkdir()
-        write_wav(bank_dir / "ex.wav", Waveform(np.zeros(1000) + 0.1, 8000))
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 1000), 8000))
+        out = tmp_path / "sep"
         code = run([
-            "separate", "--mixture", scenario_dir / "mixture.wav",
-            "--bank", bank_dir, "--segment", 2048,
-            "--out", tmp_path / "sep",
+            "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
+            "--steps", 2, "--best-of", 1, "--out", out,
+        ])
+        assert code == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert (diag["segment_length"], diag["overlap_ratio"]) == (1000, 0.75)
+        n = len(read_wav(scenario_dir / "mixture.wav"))
+        assert [len(read_wav(out / f"source{i}.wav")) for i in (1, 2)] == [n, n]
+
+    def test_segmented_scores_disjoint_bank_length_pieces(self, scenario_dir, tmp_path):
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 512), 8000))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mode", "segmented", "--mixture", scenario_dir / "mixture.wav",
+            "--bank", bank_dir, "--steps", 2, "--best-of", 1, "--out", out,
+        ])
+        assert code == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert (diag["segment_length"], diag["overlap_ratio"]) == (512, 0.0)
+        n = len(read_wav(scenario_dir / "mixture.wav"))
+        assert len(diag["per_segment"]) == -(-n // 512)
+
+    def test_segmented_checks_the_overlap(self, scenario_dir, tmp_path):
+        """segmented does not overlap its pieces, but a malformed --overlap
+        still exits 2."""
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 512), 8000))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mode", "segmented", "--mixture", scenario_dir / "mixture.wav",
+            "--bank", bank_dir, "--overlap", "nan", "--steps", 2, "--best-of", 1,
+            "--out", out,
         ])
         assert code == 2
+        assert not out.exists()
+
+    def test_segment_flag_is_gone(self, scenario_dir, tmp_path, capsys):
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 2048), 8000))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
+            "--segment", 2048, "--steps", 2, "--best-of", 1, "--out", out,
+        ])
+        assert code == 2
+        assert "unrecognized arguments: --segment" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mixed_rate_bank_exit_code(self, scenario_dir, tmp_path):
         bank_dir = tmp_path / "bank"
@@ -103,7 +152,7 @@ class TestSeparateCommand:
         write_wav(bank_dir / "b.wav", Waveform(np.zeros(2048) + 0.1, 16000))
         code = run([
             "separate", "--mixture", scenario_dir / "mixture.wav",
-            "--bank", bank_dir, "--segment", 2048, "--out", tmp_path / "sep",
+            "--bank", bank_dir, "--out", tmp_path / "sep",
         ])
         assert code == 2
 
@@ -115,7 +164,7 @@ class TestSeparateCommand:
         out = tmp_path / "sep"
         code = run([
             "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
-            "--segment", 2048, "--steps", 2, "--best-of", 1, "--out", out,
+            "--steps", 2, "--best-of", 1, "--out", out,
         ])
         assert code == 2
         assert not out.exists()
@@ -127,15 +176,16 @@ class TestSeparateCommand:
         write_wav(bank_dir / "ex.wav", Waveform(np.zeros(2048) + 0.1, 8000))
         code = run([
             "separate", "--mixture", scenario_dir / "mixture.wav",
-            "--bank", bank_dir, "--segment", 2048, "--overlap", 0.9999,
+            "--bank", bank_dir, "--overlap", 0.9999,
             "--out", tmp_path / "sep",
         ])
         assert code == 2
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--bandwidth", 0), ("--bandwidth", "nan"), ("--steps", 0), ("--best-of", 0),
-         ("--sigma-min", 0), ("--sigma-max", "inf"), ("--sources", 1), ("--seed", -1)],
+        [("--bandwidth", 0), ("--bandwidth", "nan"), ("--bandwidth", "inf"),
+         ("--bandwidth", 1e308), ("--steps", 0), ("--best-of", 0), ("--sigma-min", 0),
+         ("--sigma-max", "inf"), ("--sources", 1), ("--seed", -1)],
     )
     def test_malformed_flag_exit_code(self, scenario_dir, tmp_path, flag, value):
         bank_dir = tmp_path / "bank"
@@ -144,7 +194,7 @@ class TestSeparateCommand:
         out = tmp_path / "sep"
         code = run([
             "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
-            "--segment", 2048, "--steps", 2, "--best-of", 1, flag, value, "--out", out,
+            "--steps", 2, "--best-of", 1, flag, value, "--out", out,
         ])
         assert code == 2
         assert not out.exists()
@@ -159,7 +209,7 @@ class TestSeparateCommand:
         out = tmp_path / "sep"
         code = run([
             "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
-            "--segment", 2048, "--steps", 2, "--best-of", 1, "--sources", sources,
+            "--steps", 2, "--best-of", 1, "--sources", sources,
             "--refs", scenario_dir / "voice1.wav", scenario_dir / "voice2.wav",
             "--out", out,
         ])
@@ -199,13 +249,62 @@ class TestNmfCommand:
         assert "used_random_init" in meta
 
     @pytest.mark.parametrize(
-        "flag, value", [("--iters", -3), ("--components", 0), ("--seed", -1)]
+        "flag, value",
+        [("--iters", -3), ("--components", 0), ("--components", -1), ("--seed", -1)],
     )
     def test_malformed_flag_exit_code(self, scenario_dir, tmp_path, flag, value):
         out = tmp_path / "nmf"
         code = run(["nmf", "--mixture", scenario_dir / "mixture.wav", "--iters", 5,
                     flag, value, "--out", out])
         assert code == 2
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """A 600-sample mixture and a bank of two 64-sample exemplars."""
+    root = tmp_path_factory.mktemp("tiny")
+    t = np.arange(600) / 8000
+    write_wav(root / "mixture.wav", Waveform(0.3 * np.sin(2 * np.pi * 220 * t), 8000))
+    (root / "bank").mkdir()
+    for i, f in enumerate((220, 330)):
+        write_wav(root / "bank" / f"ex{i}.wav",
+                  Waveform(0.3 * np.sin(2 * np.pi * f * t[:64]), 8000))
+    return root
+
+
+# every numeric flag of synth, separate and nmf; a finite but huge duration
+# such as 1e7 s would ask numpy for hundreds of GB, so it is left out
+NUMERIC_FLAGS = {
+    "synth": ["--duration", "--seed", "--rate"],
+    "separate": ["--sources", "--bandwidth", "--overlap", "--steps", "--best-of", "--seed",
+                 "--sigma-min", "--sigma-max"],
+    "nmf": ["--sources", "--components", "--iters", "--seed"],
+}
+MUST_EXIT_2 = {("synth", "--duration", "1e308"), ("separate", "--bandwidth", "1e308"),
+               ("separate", "--bandwidth", "inf"), ("nmf", "--components", "-1")}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, f, v) for c, flags in NUMERIC_FLAGS.items() for f in flags
+     for v in ("0", "-1", "nan", "inf", "1e308")],
+)
+def test_numeric_flag_table(tiny_inputs, tmp_path, command, flag, value):
+    """Each value exits 0, 2 or 3 and never raises; a run that fails writes
+    nothing."""
+    inputs = {
+        "synth": [],
+        "separate": ["--mixture", tiny_inputs / "mixture.wav", "--bank", tiny_inputs / "bank",
+                     "--steps", 2, "--best-of", 1],
+        "nmf": ["--mixture", tiny_inputs / "mixture.wav", "--iters", 2],
+    }[command]
+    out = tmp_path / "out"
+    code = run([command, *inputs, flag, value, "--out", out])
+    assert code in (0, 2, 3)
+    if (command, flag, value) in MUST_EXIT_2:
+        assert code == 2
+    if code != 0:
         assert not out.exists()
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from duetsep import (
-    MixingModel,
     ParseError,
     ShapeError,
     UnsupportedFormatError,
@@ -43,39 +42,38 @@ class TestWaveform:
 class TestMix:
     def test_zero_sources_give_zero(self):
         z = wf(np.zeros(16))
-        out = mix([z, z], MixingModel(sources=2))
+        out = mix([z, z])
         assert np.all(out.samples == 0)
 
     def test_componentwise_sum(self):
-        out = mix([wf([1, 0]), wf([0, 1])], MixingModel(sources=2))
+        out = mix([wf([1, 0]), wf([0, 1])])
         np.testing.assert_array_equal(out.samples, [1, 1])
 
     def test_noiseless_sum_is_exact(self):
         rng = np.random.default_rng(0)
         s1, s2 = wf(rng.normal(size=256)), wf(rng.normal(size=256))
-        out = mix([s1, s2], MixingModel(sources=2))
+        out = mix([s1, s2])
         assert np.max(np.abs(out.samples - s1.samples - s2.samples)) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            mix([wf(np.zeros(4)), wf(np.zeros(5))], MixingModel(sources=2))
+            mix([wf(np.zeros(4)), wf(np.zeros(5))])
 
     def test_rate_mismatch(self):
         with pytest.raises(ShapeError):
-            mix([wf(np.zeros(4), 8000), wf(np.zeros(4), 16000)], MixingModel(sources=2))
+            mix([wf(np.zeros(4), 8000), wf(np.zeros(4), 16000)])
 
     def test_count_mismatch(self):
         with pytest.raises(ConfigurationError):
-            mix([wf(np.zeros(4))], MixingModel(sources=2))
+            mix([wf(np.zeros(4))])
 
     @given(alpha=st.floats(-5, 5, allow_nan=False))
     @settings(max_examples=25, deadline=None)
     def test_linearity(self, alpha):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=32), rng.normal(size=32)
-        m = MixingModel(sources=2)
-        scaled = mix([wf(alpha * a), wf(alpha * b)], m)
-        plain = mix([wf(a), wf(b)], m)
+        scaled = mix([wf(alpha * a), wf(alpha * b)])
+        plain = mix([wf(a), wf(b)])
         np.testing.assert_allclose(scaled.samples, alpha * plain.samples, atol=1e-12)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duetsep import MixingModel, MixtureProblem, Waveform
+from duetsep import MixtureProblem, Waveform
 from duetsep.errors import ConfigurationError, DomainError, ShapeError
 from duetsep.nmf import (
     EPS,
@@ -152,7 +152,7 @@ class TestSeparateNmf:
         peak = max(np.max(np.abs(s1)), np.max(np.abs(s2)))
         s1, s2 = 0.5 * s1 / peak, 0.5 * s2 / peak
         mixture = wf(s1 + s2, rate)
-        return MixtureProblem(mixture, MixingModel(sources=2)), [s1, s2]
+        return MixtureProblem(mixture, 2), [s1, s2]
 
     def test_disjoint_band_separation(self):
         """Two harmonic tones a tritone-plus apart must separate well."""
@@ -197,7 +197,7 @@ class TestSeparateNmf:
         rate, n = 8000, 32000
         x = np.zeros(n)
         x[n // 2 :] = harmonic(220.0, n // 2, rate)
-        problem = MixtureProblem(wf(x, rate), MixingModel(sources=2))
+        problem = MixtureProblem(wf(x, rate), 2)
         energy = np.sum(stft(problem.mixture, 1024, 256).magnitudes ** 2, axis=0)
         first_energetic = np.flatnonzero(energy >= 0.05 * energy.max())[0]
         sep = separate_nmf(problem, iterations=0, frame_size=1024, hop_size=256)
@@ -211,25 +211,25 @@ class TestSeparateNmf:
         rate = 8000
         t = np.arange(2 * rate) / rate
         x = 0.5 * np.sin(2 * np.pi * 220 * t) + 0.25 * np.sin(2 * np.pi * 440 * t)
-        problem = MixtureProblem(wf(x, rate), MixingModel(sources=2))
+        problem = MixtureProblem(wf(x, rate), 2)
         sep = separate_nmf(problem, iterations=0, frame_size=1024, fmin=150.0, fmax=450.0)
         assert np.max(sep.model.H[:8]) >= 1.0  # the pitch-informed start
         assert sep.used_random_init
 
     def test_random_init_fallback_on_silence(self):
-        problem = MixtureProblem(wf(np.zeros(4096)), MixingModel(sources=2))
+        problem = MixtureProblem(wf(np.zeros(4096)), 2)
         sep = separate_nmf(problem, iterations=10, frame_size=1024, hop_size=256)
         assert sep.used_random_init
         assert len(sep.sources) == 2
 
     def test_one_output_per_problem_source(self):
         problem, _ = self.problem(n=4096)
-        three = MixtureProblem(problem.mixture, MixingModel(sources=3))
+        three = MixtureProblem(problem.mixture, 3)
         sep = separate_nmf(three, iterations=10, frame_size=1024, hop_size=256)
         assert len(sep.sources) == 3
         assert len(set(sep.model.source_of_component)) == 3
 
     def test_n_sources_validation(self):
-        # the problem's mixing model is the only guard against < 2 sources
+        # the problem is the only guard against < 2 sources
         with pytest.raises(ConfigurationError):
-            MixingModel(sources=1)
+            MixtureProblem(wf(np.zeros(4096)), 1)

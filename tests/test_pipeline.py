@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from duetsep import (
     GaussianPrior,
     Integrator,
-    MixingModel,
     MixtureProblem,
     Mode,
     NoiseSchedule,
@@ -235,7 +234,7 @@ def toy_problem(n=64, seed=0):
     s1 = rng.normal(size=n) * 0.5
     s2 = rng.normal(size=n) * 0.5
     mixture = s1 + s2
-    problem = MixtureProblem(Waveform(mixture, 8000), MixingModel(sources=2))
+    problem = MixtureProblem(Waveform(mixture, 8000), 2)
     refs = [Waveform(s1, 8000), Waveform(s2, 8000)]
     return problem, refs
 
@@ -260,9 +259,9 @@ def make_config(mode, n, seg, r, steps=30, seed=0, k=1):
 
 class TestSeparate:
     def test_model_length_per_mode(self):
-        assert make_config(Mode.SEGMENTED, 96, 32, 0.75).model_length == 8
+        assert make_config(Mode.SEGMENTED, 96, 32, 0.75).model_plan(96).segment_length == 8
         for mode in (Mode.NAIVE, Mode.AR, Mode.AR_TF):
-            assert make_config(mode, 96, 32, 0.75).model_length == 32
+            assert make_config(mode, 96, 32, 0.75).model_plan(96).segment_length == 32
 
     @given(
         mode=st.sampled_from(list(Mode)),
@@ -280,9 +279,9 @@ class TestSeparate:
         rng = np.random.default_rng(seed)
         refs = [Waveform(rng.normal(size=n) * 0.5, 8000) for _ in range(n_sources)]
         mixture = np.sum([w.samples for w in refs], axis=0)
-        problem = MixtureProblem(Waveform(mixture, 8000), MixingModel(sources=n_sources))
+        problem = MixtureProblem(Waveform(mixture, 8000), n_sources)
         cfg = make_config(mode, n, 32, r, steps=5, seed=seed, k=k)
-        bank = rng.normal(size=(6, cfg.model_length)) * 0.5
+        bank = rng.normal(size=(6, cfg.model_plan(n).segment_length)) * 0.5
         models = [kde_prior_from_exemplars(bank, bandwidth=0.1)] * n_sources
         result = separate(problem, models, cfg, references=refs)
         assert len(result.sources) == n_sources
@@ -441,7 +440,7 @@ class TestSeparate:
         mode scores a prior at its own length and refuses a shorter one."""
         problem, refs = toy_problem(64, seed=9)
         cfg = make_config(mode, 64, 32, 0.5, steps=5)
-        models = toy_models(refs, cfg.model_length // 2)
+        models = toy_models(refs, cfg.model_plan(64).segment_length // 2)
         with pytest.raises(ShapeError, match="native_length"):
             separate(problem, models, cfg, references=refs)
 

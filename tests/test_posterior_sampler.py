@@ -5,7 +5,6 @@ from duetsep import (
     GaussianPrior,
     InpaintCondition,
     Integrator,
-    MixingModel,
     MixtureProblem,
     NoiseSchedule,
     SamplerConfig,
@@ -32,7 +31,7 @@ def config(steps=50, seed=0, smin=0.01, smax=10.0, integ=Integrator.HEUN):
 
 
 def problem_for(mixture, n_sources=2):
-    return MixtureProblem(Waveform(mixture, 8000), MixingModel(sources=n_sources))
+    return MixtureProblem(Waveform(mixture, 8000), n_sources)
 
 
 class TestSamplePrior:

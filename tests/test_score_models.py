@@ -314,9 +314,46 @@ class TestKdePrior:
         with pytest.raises(ShapeError, match=r"\(count, length\)"):
             kde_prior_from_exemplars(np.array([1.0, 2.0]), 0.5)
 
+    def test_ragged_exemplars_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(count, length\)"):
+            kde_prior_from_exemplars([np.zeros(3), np.zeros(4)], 0.1)
+
+    @pytest.mark.parametrize("bandwidth", [np.inf, 1e308])
+    def test_bandwidth_with_infinite_square_rejected(self, bandwidth):
+        with pytest.raises(ConfigurationError):
+            kde_prior_from_exemplars(np.ones((2, 4)), bandwidth)
+
+    def test_nan_exemplar_rejected(self):
+        bank = np.ones((2, 4))
+        bank[1, 2] = np.nan
+        with pytest.raises(ConfigurationError):
+            kde_prior_from_exemplars(bank, 0.1)
+
     def test_default_bandwidth(self):
         ex = np.full((3, 4), 2.0)
         assert default_kde_bandwidth(ex) == pytest.approx(0.2)
+
+
+class TestNonFiniteParameters:
+    """A prior with a NaN or infinite parameter fails when it is built, not at
+    the sampler's first step."""
+
+    @pytest.mark.parametrize("variance", [np.nan, np.inf])
+    def test_gaussian_variance(self, variance):
+        with pytest.raises(ConfigurationError):
+            GaussianPrior(variance=variance)
+
+    @pytest.mark.parametrize("field", ["weights", "variances", "means"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mixture(self, field, bad):
+        params = {
+            "weights": np.array([0.5, 0.5]),
+            "means": np.zeros((2, 3)),
+            "variances": np.ones(2),
+        }
+        params[field][(1,) * params[field].ndim] = bad
+        with pytest.raises(ConfigurationError):
+            MixturePrior(**params)
 
 
 class TestTiledModel:
