@@ -140,10 +140,14 @@ def run_mode(
     seed: int,
 ) -> BenchRow:
     """Run one separation strategy on the case under DEFAULT_SCHEDULE and
-    score it."""
+    score it. `segmented`, the baseline of `ar`, scores disjoint pieces of
+    the `ar` plan's hop."""
+    plan = plan_segments(len(case.mixture), case.segment_length, overlap_ratio)
+    if mode is Mode.SEGMENTED:
+        plan = plan_segments(len(case.mixture), plan.hop, 0.0)
     config = SeparationConfig(
         mode=mode,
-        plan=plan_segments(len(case.mixture), case.segment_length, overlap_ratio),
+        plan=plan,
         grid=make_grid(DEFAULT_SCHEDULE, steps),
         integrator=Integrator.HEUN,
         seed=seed,

@@ -98,16 +98,12 @@ def _cmd_separate(args) -> int:
     bandwidth = default_kde_bandwidth(exemplars) if args.bandwidth is None else args.bandwidth
     problem = MixtureProblem(mixture, n_sources)
     schedule = NoiseSchedule(sigma_min=args.sigma_min, sigma_max=args.sigma_max)
-    mode = Mode(args.mode)
     # the bank's exemplar length is the one length its prior scores: every
-    # mode plans its segments at it, and checks --overlap, but segmented
-    # scores disjoint pieces
-    plan = plan_segments(len(mixture), exemplars.shape[1], args.overlap)
-    if mode is Mode.SEGMENTED:
-        plan = plan_segments(len(mixture), plan.segment_length, 0.0)
+    # mode plans its segments at it and checks --overlap, which only ar and
+    # ar-tf read
     config = SeparationConfig(
-        mode=mode,
-        plan=plan,
+        mode=Mode(args.mode),
+        plan=plan_segments(len(mixture), exemplars.shape[1], args.overlap),
         grid=make_grid(schedule, args.steps),
         integrator=Integrator(args.integrator),
         seed=args.seed,
@@ -250,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     # string default is parsed like a given value: argparse then counts an
     # explicit `--sources 2` as given, and it conflicts with --refs.
     count = p.add_mutually_exclusive_group()
-    count.add_argument("--refs", nargs="*", default=None)
+    count.add_argument("--refs", nargs="+", default=None)
     count.add_argument("--sources", type=int, default="2")
     p.add_argument("--bank", required=True,
                    help="directory of WAV exemplar segments")

@@ -206,12 +206,8 @@ def identity_switch_rate(
         active = rms > 0.05 * max(rms.max(), 1e-12)
         dists = np.linalg.norm(feats[:, None, :] - protos[None, :, :], axis=2)
         assign = np.argmin(dists, axis=1)
-        # carry assignments through silent frames
-        last = assign[0]
-        for i in range(n_frames):
-            if active[i]:
-                last = assign[i]
-            else:
-                assign[i] = last
+        # each silent frame takes the assignment of the last active frame
+        # before it, or of frame 0
+        assign = assign[np.maximum.accumulate(np.where(active, np.arange(n_frames), 0))]
         rates.append(float(np.mean(assign[1:] != assign[:-1])))
     return float(np.mean(rates))

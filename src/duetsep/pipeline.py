@@ -3,7 +3,7 @@ stitching of segment outputs into full-length sources.
 
 Modes:
   naive     one posterior run over the whole (padded) mixture per candidate
-  segmented independent runs on disjoint segments of length L*(1-r)
+  segmented independent runs on disjoint segments of length L
   ar        overlapped segments left to right, each conditioned on the
             previous segment's chosen output over the overlap
   ar-tf     same, but the condition values come from ground-truth references
@@ -11,7 +11,7 @@ Modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
@@ -117,12 +117,9 @@ class SeparationConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def model_plan(self, signal_length: int) -> SegmentPlan:
-        """The pieces the score models see on a signal of this length:
-        segmented scores disjoint hop-length pieces, every other mode
-        segment-length ones. Only ar and ar-tf overlap; naive re-plans this to
-        its one padded span."""
-        if self.mode is Mode.SEGMENTED:
-            return plan_segments(signal_length, self.plan.hop, 0.0)
+        """The pieces the score models see on a signal of this length: every
+        mode scores pieces of the plan's segment length, and only ar and ar-tf
+        overlap them. naive re-plans this to its one padded span."""
         overlap_ratio = self.plan.overlap_ratio if self.mode in (Mode.AR, Mode.AR_TF) else 0.0
         return plan_segments(signal_length, self.plan.segment_length, overlap_ratio)
 
@@ -333,4 +330,8 @@ def separate(
 
     stitched = stitch(seg_outputs, plan)
     sources = [Waveform(s[: len(mixture)], rate) for s in stitched]
-    return SeparationResult(sources=sources, per_segment=records, config=config)
+    # the result reports the plan that ran; re-running its config gives these
+    # sources again
+    return SeparationResult(
+        sources=sources, per_segment=records, config=replace(config, plan=plan)
+    )

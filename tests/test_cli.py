@@ -117,6 +117,24 @@ class TestSeparateCommand:
         n = len(read_wav(scenario_dir / "mixture.wav"))
         assert len(diag["per_segment"]) == -(-n // 512)
 
+    def test_naive_reports_its_padded_span(self, scenario_dir, tmp_path):
+        """naive runs one span, the mixture padded to whole bank lengths, with
+        no overlap, and its diagnostics say so."""
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 2048), 8000))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mode", "naive", "--mixture", scenario_dir / "mixture.wav",
+            "--bank", bank_dir, "--steps", 2, "--best-of", 1, "--out", out,
+        ])
+        assert code == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        n = len(read_wav(scenario_dir / "mixture.wav"))
+        span = -(-n // 2048) * 2048
+        assert (diag["segment_length"], diag["overlap_ratio"]) == (span, 0.0)
+        assert len(diag["per_segment"]) == 1
+
     def test_segmented_checks_the_overlap(self, scenario_dir, tmp_path):
         """segmented does not overlap its pieces, but a malformed --overlap
         still exits 2."""
@@ -195,6 +213,20 @@ class TestSeparateCommand:
         code = run([
             "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
             "--steps", 2, "--best-of", 1, flag, value, "--out", out,
+        ])
+        assert code == 2
+        assert not out.exists()
+
+    def test_refs_without_paths_exit_code(self, scenario_dir, tmp_path):
+        """--refs names at least one reference; given bare, it is malformed,
+        not a reference-free run."""
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 2048), 8000))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
+            "--steps", 2, "--best-of", 1, "--refs", "--out", out,
         ])
         assert code == 2
         assert not out.exists()
@@ -376,7 +408,10 @@ class TestOracleBank:
         run_mode(small_case, mode, overlap_ratio=overlap, steps=1, best_of_k=1, seed=0)
         (bank,) = banks
         n, seg = len(small_case.mixture), small_case.segment_length
-        config = SeparationConfig(mode=mode, plan=plan_segments(n, seg, overlap),
+        plan = plan_segments(n, seg, overlap)
+        if mode is Mode.SEGMENTED:  # run_mode scores disjoint pieces of the hop
+            plan = plan_segments(n, plan.hop, 0.0)
+        config = SeparationConfig(mode=mode, plan=plan,
                                   grid=make_grid(bench.DEFAULT_SCHEDULE, 1))
         plan = config.model_plan(n)
         rows = {row.tobytes() for row in bank}
@@ -392,6 +427,32 @@ class TestOracleBank:
                 for off in range(0, grid - plan.segment_length + 1, seg // 4)
             ]
             np.testing.assert_array_equal(bank, quarter)
+
+
+# (mean SI-SDRi, mean SDRi, switch rate) of each strategy on small_case at
+# overlap 0.5, 6 steps, best-of-2 and seed 0. The switch rates count flips in
+# 38 frame pairs. The BLAS thread count moves the dB values by ~1e-15; any
+# change to the separation outputs moves them by far more.
+PINNED_ROWS = {
+    "naive": (-3.881506578350476, -2.951064050655616, 4 / 38),
+    "segmented": (-1.9280130362612096, -2.193383337229592, 7 / 38),
+    "ar": (-2.4039929320644795, -2.3701207239016835, 5 / 38),
+    "ar-tf": (-1.668888238936954, -1.6133563311646657, 5 / 38),
+    "nmf": (-4.293755864014024, 0.03202597887131442, 6 / 38),
+}
+
+
+@pytest.mark.parametrize("mode", list(PINNED_ROWS))
+def test_rows_match_their_pinned_values(small_case, mode):
+    """Each strategy's scores are pinned, so a refactor that means to keep the
+    outputs shows that it did."""
+    if mode == "nmf":
+        row = run_nmf_baseline(small_case, seed=0)
+    else:
+        row = run_mode(small_case, Mode(mode), overlap_ratio=0.5, steps=6, best_of_k=2,
+                       seed=0)
+    got = (row.mean_si_sdri, row.mean_sdri, row.switch_rate)
+    assert got == pytest.approx(PINNED_ROWS[mode], rel=1e-9)
 
 
 class TestSweep:

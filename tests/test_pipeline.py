@@ -259,8 +259,7 @@ def make_config(mode, n, seg, r, steps=30, seed=0, k=1):
 
 class TestSeparate:
     def test_model_length_per_mode(self):
-        assert make_config(Mode.SEGMENTED, 96, 32, 0.75).model_plan(96).segment_length == 8
-        for mode in (Mode.NAIVE, Mode.AR, Mode.AR_TF):
+        for mode in Mode:
             assert make_config(mode, 96, 32, 0.75).model_plan(96).segment_length == 32
 
     @given(
@@ -326,11 +325,11 @@ class TestSeparate:
             np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_segmented_ignores_overlap_ratio(self):
-        """Segmented runs on disjoint hop-length pieces regardless of r."""
+        """Segmented runs on disjoint segment-length pieces regardless of r."""
         problem, refs = toy_problem(128, seed=4)
         models = toy_models(refs, 32)
         a = separate(
-            problem, models, make_config(Mode.SEGMENTED, 128, 64, 0.5, steps=20),
+            problem, models, make_config(Mode.SEGMENTED, 128, 32, 0.5, steps=20),
             references=refs,
         )
         b = separate(
@@ -444,11 +443,21 @@ class TestSeparate:
         with pytest.raises(ShapeError, match="native_length"):
             separate(problem, models, cfg, references=refs)
 
-    def test_to_dict_roundtrips_config(self):
-        problem, refs = toy_problem(64, seed=10)
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_to_dict_roundtrips_config(self, mode):
+        """The result reports the plan that ran, naive's padded span included,
+        and re-running its config gives the same sources."""
+        # (segment_length, overlap_ratio, segments) at L = 32, r = 0.5, n = 50
+        ran = {Mode.NAIVE: (64, 0.0, 1), Mode.SEGMENTED: (32, 0.0, 2),
+               Mode.AR: (32, 0.5, 3), Mode.AR_TF: (32, 0.5, 3)}[mode]
+        problem, refs = toy_problem(50, seed=10)
         models = toy_models(refs, 32)
-        cfg = make_config(Mode.AR, 64, 32, 0.5, steps=5, k=2)
-        d = separate(problem, models, cfg, references=refs).to_dict()
-        assert d["mode"] == "ar"
+        cfg = make_config(mode, 50, 32, 0.5, steps=5, k=2)
+        result = separate(problem, models, cfg, references=refs)
+        d = result.to_dict()
+        assert d["mode"] == mode.value
         assert d["best_of_k"] == 2
-        assert len(d["per_segment"]) == len(cfg.plan.offsets)
+        assert (d["segment_length"], d["overlap_ratio"], len(d["per_segment"])) == ran
+        again = separate(problem, models, result.config, references=refs)
+        for x, y in zip(result.sources, again.sources):
+            np.testing.assert_array_equal(x.samples, y.samples)
