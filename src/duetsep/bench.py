@@ -107,13 +107,13 @@ def build_case(
 
 def _bank_for_length(case: BenchmarkCase, plan: SegmentPlan) -> np.ndarray:
     """Slice the references into exemplars of the plan's segment length: one
-    every quarter segment of the zero-padded segment grid, then each piece at
-    a plan offset that is not already among them, so that the bank holds
-    every piece the run scores at any overlap."""
+    every quarter segment (at least every sample) of the zero-padded segment
+    grid, then each piece at a plan offset that is not already among them, so
+    that the bank holds every piece the run scores at any overlap."""
     length = plan.segment_length
     grid = plan_segments(len(case.mixture), case.segment_length, 0.0).padded_length
     offsets = dict.fromkeys(
-        [*range(0, grid - length + 1, case.segment_length // 4), *plan.offsets]
+        [*range(0, grid - length + 1, max(1, case.segment_length // 4)), *plan.offsets]
     )
     padded = max(grid, plan.padded_length)
     segs = []

@@ -309,7 +309,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigurationError, ParseError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ShapeError, DomainError, ValueError, RuntimeError, OSError) as exc:
+    except (ShapeError, DomainError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -18,6 +18,7 @@ __all__ = [
     "SourceMetrics",
     "si_sdr",
     "sdr",
+    "best_assignment",
     "evaluate",
     "envelope_features",
     "identity_switch_rate",
@@ -118,6 +119,24 @@ class EvalReport:
         }
 
 
+def best_assignment(scores) -> Tuple[Tuple[int, ...], float]:
+    """The assignment of estimates to references with the highest mean score.
+
+    `scores[i][j]` scores estimate j against reference i. Returns (perm, mean)
+    with perm[i] the estimate given to reference i; of equal means, the first
+    permutation in itertools order wins.
+    """
+    n = len(scores)
+    best_perm: Tuple[int, ...] = tuple(range(n))
+    best_mean = -np.inf
+    for perm in permutations(range(n)):
+        mean = np.mean([scores[i][p] for i, p in enumerate(perm)])
+        if mean > best_mean:
+            best_mean = mean
+            best_perm = perm
+    return best_perm, float(best_mean)
+
+
 def evaluate(estimates: Sequence, references: Sequence, mixture) -> EvalReport:
     """Permutation-invariant evaluation with improvements over the mixture.
 
@@ -133,21 +152,16 @@ def evaluate(estimates: Sequence, references: Sequence, mixture) -> EvalReport:
     ests = [_as_samples(e) for e in estimates]
     refs = [_as_samples(r) for r in references]
     mix = _as_samples(mixture)
-    best_perm: Tuple[int, ...] = tuple(range(len(ests)))
-    best_mean = -np.inf
-    for perm in permutations(range(len(ests))):
-        mean = np.mean([si_sdr(ests[p], refs[i]) for i, p in enumerate(perm)])
-        if mean > best_mean:
-            best_mean = mean
-            best_perm = perm
+    table = [[si_sdr(est, ref) for est in ests] for ref in refs]
+    perm, _ = best_assignment(table)
     per_source = []
-    for i, p in enumerate(best_perm):
-        s = si_sdr(ests[p], refs[i])
+    for i, p in enumerate(perm):
+        s = table[i][p]
         d = sdr(ests[p], refs[i])
         base_s = si_sdr(mix, refs[i])
         base_d = sdr(mix, refs[i])
         per_source.append(SourceMetrics(s, d, s - base_s, d - base_d))
-    return EvalReport(per_source=per_source, permutation=best_perm)
+    return EvalReport(per_source=per_source, permutation=perm)
 
 
 def envelope_features(samples, frame: int) -> np.ndarray:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core_signal import MixtureProblem, Waveform
 from .errors import ConfigurationError, ShapeError
-from .metrics import si_sdr
+from .metrics import best_assignment, si_sdr
 from .posterior_sampler import (
     InpaintCondition,
     Integrator,
@@ -168,48 +167,50 @@ def _candidate_seed(base_seed: int, segment: int, candidate: int) -> int:
 
 
 def select_best_of_k(
-    candidates: Sequence[Sequence[np.ndarray]],
+    candidates: Sequence[np.ndarray],
     selection: Selection,
-    references: Optional[Sequence[np.ndarray]],
+    references: Optional[np.ndarray],
     mixture: np.ndarray,
 ) -> Tuple[int, Tuple[int, ...]]:
     """Pick the best candidate; oracle selection also searches source permutations.
 
-    Returns (candidate index, permutation) where permutation[i] is the source
-    of the chosen candidate that plays the role of output source i.
+    Each candidate is an (N, L) array of sources. Returns (candidate index,
+    permutation) where permutation[i] is the source of the chosen candidate
+    that plays the role of output source i. Of equal scores the first
+    candidate wins, and within a candidate the first permutation in
+    itertools order (metrics.best_assignment).
     """
     if len(candidates) < 1:
         raise ConfigurationError("need at least one candidate")
     n = len(candidates[0])
     if selection is Selection.MIXTURE_RESIDUAL:
-        perms, sign = [tuple(range(n))], -1.0  # the smallest residual wins
+        sign = -1.0  # the smallest residual wins
     elif references is None:
         raise ConfigurationError("oracle selection requires references")
     elif len(references) != n:
         raise ShapeError(f"{len(references)} references for {n} sources")
     else:
-        perms, sign = list(permutations(range(n))), 1.0
-    best_key, best = -np.inf, (0, perms[0])
+        sign = 1.0
+    best_key, best = -np.inf, (0, tuple(range(n)))
     for idx, cand in enumerate(candidates):
-        for perm in perms:
-            key = sign * _selection_score(cand, perm, selection, references, mixture)
-            if key > best_key:  # strict: the first of equal scores stays
-                best_key, best = key, (idx, perm)
+        perm, score = _selection(cand, selection, references, mixture)
+        key = sign * score
+        if key > best_key:  # strict: the first of equal scores stays
+            best_key, best = key, (idx, perm)
     return best
 
 
-def _selection_score(
-    cand: Sequence[np.ndarray],
-    perm: Tuple[int, ...],
+def _selection(
+    cand: np.ndarray,
     selection: Selection,
-    references: Optional[Sequence[np.ndarray]],
+    references: Optional[np.ndarray],
     mixture: np.ndarray,
-) -> float:
+) -> Tuple[Tuple[int, ...], float]:
+    """A candidate's permutation and score: the identity and the mixture
+    residual's norm, or the best assignment by mean SI-SDR."""
     if selection is Selection.MIXTURE_RESIDUAL:
-        return float(np.linalg.norm(mixture - np.sum(cand, axis=0)))
-    return float(
-        np.mean([_safe_si_sdr(cand[p], references[i]) for i, p in enumerate(perm)])
-    )
+        return tuple(range(len(cand))), float(np.linalg.norm(mixture - np.sum(cand, axis=0)))
+    return best_assignment([[_safe_si_sdr(est, ref) for est in cand] for ref in references])
 
 
 def _safe_si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
@@ -219,25 +220,25 @@ def _safe_si_sdr(estimate: np.ndarray, reference: np.ndarray) -> float:
     return si_sdr(estimate, reference)
 
 
-def stitch(segments: Sequence[Sequence[np.ndarray]], plan: SegmentPlan) -> List[np.ndarray]:
+def stitch(segments: Sequence[np.ndarray], plan: SegmentPlan) -> List[np.ndarray]:
     """Merge per-segment sources into full-length arrays.
 
-    The earlier segment owns each overlap, with a linear crossfade of width
-    min(256, overlap//4) ending at the overlap boundary, after which the later
-    segment takes over. overlap 0 reduces to concatenation. All sources are
-    written at once, as the rows of one (N, padded_length) array.
+    Each segment is an (N, segment_length) array of sources (a list of rows
+    is accepted too). The earlier segment owns each overlap, with a linear
+    crossfade of width min(256, overlap//4) ending at the overlap boundary,
+    after which the later segment takes over. overlap 0 reduces to
+    concatenation. All sources are written at once, as the rows of one
+    (N, padded_length) array.
     """
     if len(segments) != len(plan.offsets):
         raise ShapeError("segment count does not match the plan")
-    n_sources = len(segments[0])
-    out = np.zeros((n_sources, plan.padded_length))
+    shape = (len(segments[0]), plan.segment_length)
+    out = np.zeros((shape[0], plan.padded_length))
     prev_end = plan.offsets[0]  # the first segment has nothing to fade into
     for off, sources in zip(plan.offsets, segments):
-        if len(sources) != n_sources or any(
-            np.shape(s) != (plan.segment_length,) for s in sources
-        ):
-            raise ShapeError("segment output length does not match the plan")
         seg = np.asarray(sources, dtype=np.float64)
+        if seg.shape != shape:
+            raise ShapeError("segment output length does not match the plan")
         width = min(CROSSFADE_MAX, max((prev_end - off) // 4, 0))
         lo = max(prev_end - width, off)
         if prev_end > lo:
@@ -275,6 +276,8 @@ def separate(
                 raise ShapeError(
                     f"reference sample rate {r.sample_rate} differs from the mixture's {rate}"
                 )
+            if not np.any(r.samples != 0):
+                raise ConfigurationError("reference is identically zero")
 
     # config.plan gives only the segment length and overlap ratio; the offsets
     # come from this mixture
@@ -299,7 +302,7 @@ def separate(
     # lies under them since the offsets step by the hop
     known = np.arange(plan.segment_length) < plan.overlap
     records: List[SegmentRecord] = []
-    seg_outputs: List[List[np.ndarray]] = []
+    seg_outputs: List[np.ndarray] = []
     for j, off in enumerate(plan.offsets):
         span = slice(off, off + plan.segment_length)
         seg_mix = padded_mix[span]
@@ -309,7 +312,7 @@ def separate(
             values = (
                 seg_refs
                 if mode is Mode.AR_TF
-                else [np.pad(s[plan.hop :], (0, plan.hop)) for s in seg_outputs[-1]]
+                else np.pad(seg_outputs[-1][:, plan.hop :], ((0, 0), (0, plan.hop)))
             )
             conditions = [InpaintCondition(mask=known, values=v) for v in values[1:]]
         seg_problem = MixtureProblem(Waveform(seg_mix, rate), problem.sources)
@@ -324,9 +327,9 @@ def separate(
             for seed in seeds
         ]
         idx, perm = select_best_of_k(candidates, config.selection, seg_refs, seg_mix)
-        score = _selection_score(candidates[idx], perm, config.selection, seg_refs, seg_mix)
+        _, score = _selection(candidates[idx], config.selection, seg_refs, seg_mix)
         records.append(SegmentRecord(j, idx, score, perm, seeds[idx]))
-        seg_outputs.append([candidates[idx][p] for p in perm])
+        seg_outputs.append(candidates[idx][list(perm)])
 
     stitched = stitch(seg_outputs, plan)
     sources = [Waveform(s[: len(mixture)], rate) for s in stitched]

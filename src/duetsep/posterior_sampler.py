@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -163,14 +163,14 @@ def sample_posterior(
     models: Sequence[ScoreModel],
     config: SamplerConfig,
     conditions: Optional[Sequence[InpaintCondition]] = None,
-) -> List[np.ndarray]:
-    """Sample all N sources given the mixture.
+) -> np.ndarray:
+    """Sample all N sources given the mixture, as the rows of one (N, L) array.
 
-    The N-1 free sources are integrated under the posterior gradient; the
-    constrained source is emitted as mixture minus the free sources, so the
-    outputs always sum exactly to the mixture. `conditions`, when given, holds
-    one InpaintCondition per free source (s_2..s_N); masked positions are
-    re-clamped with matched noise after every integrator step.
+    The N-1 free sources (rows 1..N-1) are integrated under the posterior
+    gradient; the constrained source, row 0, is mixture minus the free
+    sources, so the rows always sum exactly to the mixture. `conditions`, when
+    given, holds one InpaintCondition per free source (s_2..s_N); masked
+    positions are re-clamped with matched noise after every integrator step.
     """
     n = len(models)
     if n != problem.sources:
@@ -206,4 +206,4 @@ def sample_posterior(
         config,
         clamp,
     )
-    return [mixture - np.sum(states, axis=0), *states]
+    return np.concatenate([[mixture - np.sum(states, axis=0)], states])

@@ -2,18 +2,18 @@ import argparse
 import json
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import duetsep
-from duetsep import Waveform, bench, read_wav, write_wav
+from duetsep import Waveform, bench, cli, read_wav, write_wav
 from duetsep.bench import SweepSpec, build_case, run_mode, run_nmf_baseline, sweep
 from duetsep.cli import build_parser, main
 from duetsep.errors import ConfigurationError
-from duetsep.pipeline import Mode, SeparationConfig, plan_segments
+from duetsep.pipeline import Mode, Selection, SeparationConfig, plan_segments
 from duetsep.schedule import make_grid
 
 
@@ -231,6 +231,23 @@ class TestSeparateCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_silent_reference_exit_code(self, scenario_dir, tmp_path):
+        """An all-zero reference is rejected before any segment is sampled,
+        not by the evaluation after the sources are written."""
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 2048), 8000))
+        voice = read_wav(scenario_dir / "voice1.wav")
+        write_wav(tmp_path / "silent.wav", Waveform(np.zeros(len(voice)), voice.sample_rate))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
+            "--steps", 2, "--best-of", 1,
+            "--refs", scenario_dir / "voice1.wav", tmp_path / "silent.wav", "--out", out,
+        ])
+        assert code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("sources", [2, 3])
     def test_refs_and_sources_are_exclusive(self, scenario_dir, tmp_path, sources):
         """The references set the source count; giving --sources as well is a
@@ -340,6 +357,16 @@ def test_numeric_flag_table(tiny_inputs, tmp_path, command, flag, value):
         assert not out.exists()
 
 
+def test_memory_error_exit_code(monkeypatch, tmp_path, capsys):
+    """Running out of memory exits 3 with its message, not a traceback."""
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 600. GiB")
+
+    monkeypatch.setattr(cli, "_cmd_synth", exhausted)
+    assert run(["synth", "--out", tmp_path / "x"]) == 3
+    assert "error: Unable to allocate 600. GiB" in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def test_end_to_end(self, scenario_dir, tmp_path):
         est_dir = tmp_path / "est"
@@ -429,6 +456,23 @@ class TestOracleBank:
             np.testing.assert_array_equal(bank, quarter)
 
 
+    def test_bank_below_four_samples(self, small_case):
+        """Below four samples a quarter segment rounds to 0, and the bank
+        takes a piece at every sample of the grid instead."""
+        case = replace(small_case, segment_length=3)
+        n = len(case.mixture)
+        plan = plan_segments(n, 3, 0.5)
+        bank = bench._bank_for_length(case, plan)
+        grid = plan_segments(n, 3, 0.0).padded_length
+        offsets = {*range(grid - 2), *plan.offsets}
+        assert len(bank) == 2 * len(offsets)
+        rows = {row.tobytes() for row in bank}
+        for ref in case.references:
+            padded = np.pad(ref.samples, (0, plan.padded_length))
+            for off in offsets:
+                assert padded[off : off + 3].tobytes() in rows
+
+
 # (mean SI-SDRi, mean SDRi, switch rate) of each strategy on small_case at
 # overlap 0.5, 6 steps, best-of-2 and seed 0. The switch rates count flips in
 # 38 frame pairs. The BLAS thread count moves the dB values by ~1e-15; any
@@ -453,6 +497,133 @@ def test_rows_match_their_pinned_values(small_case, mode):
                        seed=0)
     got = (row.mean_si_sdri, row.mean_sdri, row.switch_rate)
     assert got == pytest.approx(PINNED_ROWS[mode], rel=1e-9)
+
+
+# (candidate_index, permutation, selection_score) of each segment that
+# separate chose in the runs above (overlap 0.5, 6 steps, best-of-2, seed 0),
+# and in the same `ar` run without references ("ar-free"), which selects by
+# the mixture residual. Those residuals are rounding noise, so the "ar-free"
+# pins hold only while the sampler's outputs stay bit-identical.
+PINNED_SELECTIONS = {
+    "naive": [
+        (1, (1, 0), -4.014609455827608),
+    ],
+    "segmented": [
+        (1, (1, 0), -1.7087809947271277),
+        (1, (0, 1), -1.8390978608004693),
+        (1, (1, 0), -2.3277269718561944),
+        (1, (1, 0), -2.6067308241006306),
+        (1, (1, 0), -2.768023547871267),
+        (0, (1, 0), -2.6422035991401684),
+        (0, (1, 0), -2.0680545043360565),
+        (1, (1, 0), -1.582858685351388),
+        (1, (1, 0), -1.5651226335312869),
+        (1, (1, 0), -1.2736357607014424),
+        (1, (1, 0), -0.9334711601669611),
+        (1, (1, 0), -1.2312837430169137),
+        (1, (1, 0), -1.4077057058286455),
+        (0, (1, 0), -2.3344867327593066),
+        (1, (1, 0), -2.6051848557583455),
+        (0, (0, 1), -2.0626979970303316),
+        (1, (1, 0), -2.8402218901123466),
+        (0, (1, 0), -2.1848089931067127),
+        (1, (1, 0), -1.7234136567357365),
+        (0, (1, 0), -4.985195153476115),
+    ],
+    "ar": [
+        (1, (1, 0), -1.763421064336952),
+        (0, (0, 1), -2.173318153956207),
+        (0, (0, 1), -2.9559695339487426),
+        (0, (0, 1), -3.458256339328284),
+        (1, (0, 1), -3.1568346600899524),
+        (1, (0, 1), -2.916938276762565),
+        (1, (0, 1), -2.5034665938749763),
+        (1, (0, 1), -1.9254412749890883),
+        (1, (0, 1), -1.423075940919614),
+        (0, (0, 1), -1.6043785944184275),
+        (1, (0, 1), -1.8875757453599786),
+        (1, (0, 1), -1.656233312614615),
+        (0, (0, 1), -2.034223083364765),
+        (0, (0, 1), -3.336561627146758),
+        (0, (0, 1), -3.574097432826352),
+        (1, (0, 1), -2.776364553198845),
+        (0, (0, 1), -2.7610387765687308),
+        (0, (0, 1), -2.721026103219083),
+        (1, (0, 1), -3.9263640277102616),
+    ],
+    "ar-tf": [
+        (1, (1, 0), -1.763421064336952),
+        (0, (0, 1), 0.7539109766665597),
+        (0, (0, 1), -0.01344401187119637),
+        (1, (0, 1), 0.44634854159671744),
+        (1, (0, 1), 0.07115917223387436),
+        (1, (0, 1), -0.17042453986564055),
+        (1, (0, 1), 0.663754192777474),
+        (1, (0, 1), 1.17592231099961),
+        (1, (0, 1), 1.6386519464981657),
+        (0, (0, 1), 0.9755792715906261),
+        (1, (0, 1), 1.3957403564691087),
+        (1, (0, 1), 1.3009022149816305),
+        (0, (0, 1), 0.9159835578235289),
+        (0, (0, 1), -0.5175056450373243),
+        (0, (0, 1), 0.31597127453530083),
+        (1, (0, 1), 0.04131249949781923),
+        (0, (0, 1), 0.1333447263295966),
+        (0, (0, 1), 0.2710132831711265),
+        (1, (0, 1), -0.5959437390199394),
+    ],
+    "ar-free": [
+        (0, (0, 1), 8.646181892501881e-16),
+        (1, (0, 1), 8.738936386692766e-16),
+        (1, (0, 1), 8.6798037996661135e-16),
+        (0, (0, 1), 8.791578747395235e-16),
+        (1, (0, 1), 8.427065428654619e-16),
+        (0, (0, 1), 8.369087967675753e-16),
+        (1, (0, 1), 9.05309619061382e-16),
+        (0, (0, 1), 9.171225610705846e-16),
+        (0, (0, 1), 8.718827876368088e-16),
+        (1, (0, 1), 9.277920835110622e-16),
+        (0, (0, 1), 9.530956811479078e-16),
+        (1, (0, 1), 8.81657420796247e-16),
+        (0, (0, 1), 8.644620712671847e-16),
+        (0, (0, 1), 8.817537315310309e-16),
+        (0, (0, 1), 8.466645766854357e-16),
+        (0, (0, 1), 8.165463360705544e-16),
+        (0, (0, 1), 8.90099107744054e-16),
+        (0, (0, 1), 8.76183481359871e-16),
+        (1, (0, 1), 7.612224760995976e-16),
+    ],
+}
+
+
+@pytest.mark.parametrize("run", list(PINNED_SELECTIONS))
+def test_selections_match_their_pinned_values(small_case, monkeypatch, run):
+    """Which candidate each segment keeps, and in which source order, is
+    pinned, so a change to best-of-k selection shows."""
+    results = []
+    inner = bench.separate
+
+    def recording(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bench, "separate", recording)
+    if run == "ar-free":
+        n = len(small_case.mixture)
+        config = SeparationConfig(
+            mode=Mode.AR, plan=plan_segments(n, small_case.segment_length, 0.5),
+            grid=make_grid(bench.DEFAULT_SCHEDULE, 6), best_of_k=2,
+            selection=Selection.MIXTURE_RESIDUAL,
+        )
+        models = bench._models_for_length(small_case, config.model_plan(n))
+        bench.separate(small_case.problem, models, config)
+    else:
+        run_mode(small_case, Mode(run), overlap_ratio=0.5, steps=6, best_of_k=2, seed=0)
+    (result,) = results
+    got = [(r.candidate_index, r.permutation) for r in result.per_segment]
+    assert got == [(idx, perm) for idx, perm, _ in PINNED_SELECTIONS[run]]
+    scores = [r.selection_score for r in result.per_segment]
+    assert scores == pytest.approx([score for *_, score in PINNED_SELECTIONS[run]], rel=1e-9)
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from duetsep import (
     si_sdr,
 )
 from duetsep.errors import DomainError, ShapeError
+from duetsep.metrics import best_assignment
 
 
 def direct_si_sdr(est, ref):
@@ -173,6 +175,37 @@ class TestEvaluate:
             "permutation", "per_source",
             "mean_si_sdri", "mean_sdri",
         }
+
+
+class TestBestAssignment:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_brute_force(self, n):
+        scores = np.random.default_rng(n).normal(size=(n, n))
+        perm, mean = best_assignment(scores)
+        best = max(
+            permutations(range(n)),
+            key=lambda p: np.mean([scores[i][p[i]] for i in range(n)]),
+        )
+        assert perm == best
+        assert mean == np.mean([scores[i][p] for i, p in enumerate(best)])
+
+    @pytest.mark.parametrize(
+        "scores, perm",
+        [
+            ([[1.0, 1.0], [1.0, 1.0]], (0, 1)),
+            # (0, 2, 1), (1, 0, 2), (1, 2, 0) and (2, 0, 1) all sum to 10
+            ([[0.0, 5.0, 0.0], [5.0, 0.0, 5.0], [0.0, 5.0, 0.0]], (0, 2, 1)),
+            (np.ones((4, 4)), (0, 1, 2, 3)),
+        ],
+    )
+    def test_ties_keep_the_first_permutation(self, scores, perm):
+        assert best_assignment(scores)[0] == perm
+
+    def test_rows_are_references(self):
+        # estimate 1 is the only good match for reference 0
+        assert best_assignment([[0.0, 9.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]) == (
+            (1, 0, 2), pytest.approx(11 / 3)
+        )
 
 
 def tone(freq, n, rate=8000, harmonics=((1, 1.0),)):

@@ -13,6 +13,7 @@ from duetsep import (
     Selection,
     SeparationConfig,
     Waveform,
+    evaluate,
     kde_prior_from_exemplars,
     make_grid,
     plan_segments,
@@ -145,6 +146,16 @@ class TestSelectBestOfK:
         idx, perm = select_best_of_k([cand, list(cand)], selection, refs, np.ones(8))
         assert idx == 0 and perm == (0, 1)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_candidate_takes_evaluates_permutation(self, n):
+        rng = np.random.default_rng(n)
+        refs = rng.normal(size=(n, 48))
+        cand = refs[np.roll(np.arange(n), 1)] + 0.4 * rng.normal(size=(n, 48))
+        mixture = np.sum(refs, axis=0)
+        idx, perm = select_best_of_k([cand], Selection.ORACLE_SI_SDR, refs, mixture)
+        assert idx == 0 and perm != tuple(range(n))
+        assert perm == evaluate(list(cand), list(refs), mixture).permutation
+
     def test_zero_reference_scores_zero(self):
         assert _safe_si_sdr(np.ones(4), np.zeros(4)) == 0.0
 
@@ -217,6 +228,17 @@ class TestStitch:
         assert len(out) == sources
         for got, want in zip(out, full):
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    def test_arrays_and_lists_agree(self):
+        plan = plan_segments(96, 64, 0.5)
+        segs = np.random.default_rng(0).normal(size=(2, 2, 64))
+        for got, want in zip(stitch(list(segs), plan), stitch([list(s) for s in segs], plan)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_source_count_mismatch(self):
+        plan = plan_segments(8, 4, 0.0)
+        with pytest.raises(ShapeError):
+            stitch([np.zeros((2, 4)), np.zeros((1, 4))], plan)
 
     def test_count_mismatch(self):
         plan = plan_segments(8, 4, 0.0)
@@ -406,6 +428,14 @@ class TestSeparate:
         refs_16k = [Waveform(r.samples, 16000) for r in refs]
         with pytest.raises(ShapeError):
             separate(problem, models, cfg, references=refs_16k)
+
+    def test_silent_reference_rejected(self):
+        problem, refs = toy_problem(64)
+        models = toy_models(refs, 32)
+        cfg = make_config(Mode.SEGMENTED, 64, 32, 0.0, steps=5)
+        silent = [refs[0], Waveform(np.zeros(64), 8000)]
+        with pytest.raises(ConfigurationError, match="identically zero"):
+            separate(problem, models, cfg, references=silent)
 
     def test_ar_tf_requires_references(self):
         problem, refs = toy_problem(64)

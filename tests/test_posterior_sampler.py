@@ -213,6 +213,14 @@ class TestSamplePosterior:
         assert len(out) == 3
         np.testing.assert_allclose(np.sum(out, axis=0), mixture, atol=1e-12)
 
+    def test_returns_one_array_constrained_source_first(self):
+        rng = np.random.default_rng(1)
+        mixture = rng.normal(size=8)
+        p = GaussianPrior(mean=np.zeros(8), variance=1.0)
+        out = sample_posterior(problem_for(mixture, 3), [p, p, p], config(steps=10))
+        assert isinstance(out, np.ndarray) and out.shape == (3, 8)
+        np.testing.assert_array_equal(out[0], mixture - np.sum(out[1:], axis=0))
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         mixture = rng.normal(size=8)
