@@ -22,8 +22,19 @@ class UnsupportedFormatError(ParseError):
 
 
 class NumericalDivergenceError(RuntimeError):
-    """An integrator produced NaN/Inf mid-run."""
+    """An integrator produced NaN/Inf mid-run.
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
+    `step` is the integrator step that failed and `sigma` the noise level it
+    reached. `segment` is the index of the segment being sampled, which
+    `separate` adds when it re-raises the error; None outside it.
+    """
+
+    def __init__(self, step: int, sigma: float, segment: int | None = None):
+        super().__init__(step, sigma, segment)
         self.step = step
+        self.sigma = sigma
+        self.segment = segment
+
+    def __str__(self) -> str:
+        where = "" if self.segment is None else f" of segment {self.segment}"
+        return f"non-finite state at integrator step {self.step}{where}, sigma {self.sigma:.6g}"

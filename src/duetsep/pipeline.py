@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core_signal import MixtureProblem, Waveform
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, NumericalDivergenceError, ShapeError
 from .metrics import best_assignment, si_sdr
 from .posterior_sampler import (
     InpaintCondition,
@@ -317,15 +317,19 @@ def separate(
             conditions = [InpaintCondition(mask=known, values=v) for v in values[1:]]
         seg_problem = MixtureProblem(Waveform(seg_mix, rate), problem.sources)
         seeds = [_candidate_seed(config.seed, j, c) for c in range(config.best_of_k)]
-        candidates = [
-            sample_posterior(
-                seg_problem,
-                models,
-                SamplerConfig(grid=config.grid, integrator=config.integrator, seed=seed),
-                conditions,
-            )
-            for seed in seeds
-        ]
+        try:
+            candidates = [
+                sample_posterior(
+                    seg_problem,
+                    models,
+                    SamplerConfig(grid=config.grid, integrator=config.integrator, seed=seed),
+                    conditions,
+                )
+                for seed in seeds
+            ]
+        except NumericalDivergenceError as exc:
+            exc.segment = j
+            raise
         idx, perm = select_best_of_k(candidates, config.selection, seg_refs, seg_mix)
         _, score = _selection(candidates[idx], config.selection, seg_refs, seg_mix)
         records.append(SegmentRecord(j, idx, score, perm, seeds[idx]))

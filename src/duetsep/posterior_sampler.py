@@ -83,11 +83,9 @@ def apply_inpaint(
     return out
 
 
-def _check_finite(x: np.ndarray, step: int) -> None:
+def _check_finite(x: np.ndarray, step: int, sigma: float) -> None:
     if not np.all(np.isfinite(x)):
-        raise NumericalDivergenceError(
-            f"non-finite state at integrator step {step}", step=step
-        )
+        raise NumericalDivergenceError(step, float(sigma))
 
 
 def _integrate(
@@ -111,7 +109,7 @@ def _integrate(
             x = x + (s1 - s0) * 0.5 * (d0 + d1)
         else:
             x = x_euler
-        _check_finite(x, k)
+        _check_finite(x, k, s1)
         if after_step is not None:
             after_step(x, s1)
     return x

@@ -14,6 +14,10 @@ from .errors import ConfigurationError
 
 __all__ = ["NoiseSchedule", "TimeGrid", "make_grid"]
 
+# every sigma lies below this, so that sigma^2, which the scores add to the
+# prior variances, is finite
+MAX_SIGMA = float(np.sqrt(np.finfo(np.float64).max))
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -21,8 +25,7 @@ class NoiseSchedule:
     sigma_max: float = 10.0
 
     def __post_init__(self):
-        # the scores add sigma^2 to the prior variances, so it must be finite
-        if not (0 < self.sigma_min < self.sigma_max < np.sqrt(np.finfo(np.float64).max)):
+        if not (0 < self.sigma_min < self.sigma_max < MAX_SIGMA):
             raise ConfigurationError(
                 "need 0 < sigma_min < sigma_max with a finite sigma_max^2, "
                 f"got {self.sigma_min}, {self.sigma_max}"

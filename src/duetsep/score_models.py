@@ -16,6 +16,7 @@ import numpy as np
 
 from .core_signal import read_wav
 from .errors import ConfigurationError, DomainError, ShapeError
+from .schedule import MAX_SIGMA
 
 __all__ = [
     "ScoreModel",
@@ -27,6 +28,16 @@ __all__ = [
     "default_kde_bandwidth",
     "load_exemplar_bank",
 ]
+
+
+# the smallest normal double: a mixture weight below it counts as zero
+_TINY = np.finfo(np.float64).tiny
+
+
+def _check_sigma(sigma: float) -> None:
+    # written so that NaN fails; the scores add sigma^2 to the variances
+    if not 0 <= sigma < MAX_SIGMA:
+        raise DomainError(f"sigma must lie in [0, {MAX_SIGMA:.4g}), got {sigma}")
 
 
 class ScoreModel(Protocol):
@@ -46,6 +57,8 @@ class GaussianPrior:
         if not 0 < self.variance < np.inf:  # NaN fails too
             raise ConfigurationError(f"variance must be positive and finite, got {self.variance}")
         if np.ndim(self.mean) > 0:
+            if np.size(self.mean) == 0:
+                raise ShapeError("mean must have length >= 1")
             object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
 
     @property
@@ -54,12 +67,12 @@ class GaussianPrior:
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Exact score of the sigma-smoothed Gaussian: -(x - mean) / (variance + sigma^2)."""
-        if sigma < 0:
-            raise DomainError("sigma must be nonnegative")
+        _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
         return -(x - self.mean) / (self.variance + sigma**2)
 
     def log_density(self, x: np.ndarray, sigma: float) -> float:
+        _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
         v = self.variance + sigma**2
         d = x.size
@@ -74,6 +87,8 @@ class MixturePrior:
     The parameters are stored as read-only views, and log w and |mu|^2 are
     computed once here, so that a score call reads the (K, d) bank only in its
     two matmuls, the second often over the live components alone. The
+    first pass puts the bank on the left, and a weight below the smallest
+    normal double counts as zero in the second (see mixture_score). The
     per-sigma terms v_k + sigma^2 and the log-normaliser are kept for the last
     sigma seen, since an integrator step scores each sigma several times. A
     float64 array passed in is not copied: the prior shares its memory with
@@ -94,6 +109,8 @@ class MixturePrior:
             raise ConfigurationError("mixture needs at least one component")
         if m.ndim != 2 or m.shape[0] != w.size or v.shape != (w.size,):
             raise ShapeError("inconsistent mixture component shapes")
+        if m.shape[1] == 0:
+            raise ShapeError("components must have length >= 1")
         # written so that NaN fails; the (K,) norms |mu|^2 stand in for the
         # (K, d) means, which are not read a second time
         if not (np.all((0 < w) & (w < np.inf)) and np.all((0 < v) & (v < np.inf))):
@@ -139,7 +156,12 @@ class MixturePrior:
         """
         v, const = self._sigma_terms(sigma)
         x_sq = np.einsum("...d,...d->...", x, x)  # (...,)
-        ll = x @ self.means.T  # (..., K), reused in place below
+        # (..., K), reused in place below. The bank goes on the left: with the
+        # OpenBLAS 0.3.31 of numpy's wheel, means @ rows.T ran faster than
+        # rows @ means.T for a few rows against a wide bank
+        rows = x.reshape(-1, x.shape[-1])
+        ll = np.ascontiguousarray((self.means @ rows.T).T)
+        ll = ll.reshape(x.shape[:-1] + (self.means.shape[0],))
         ll *= -2.0
         ll += x_sq[..., None]
         ll += self._means_sq
@@ -153,6 +175,7 @@ class MixturePrior:
 
     def log_density(self, x: np.ndarray, sigma: float) -> float:
         """log p_sigma(x) for one vector x of shape (d,)."""
+        _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:
             raise ShapeError("log_density takes one vector of shape (d,)")
@@ -177,10 +200,13 @@ def mixture_score(prior: MixturePrior, x: np.ndarray, sigma: float) -> np.ndarra
     """Exact score of the smoothed mixture, softmax stabilized by the row max.
 
     Accepts x of shape (d,) or a batch (..., d); the score is computed
-    independently per row.
+    independently per row. The first pass puts the bank on the left
+    (means @ rows.T, over the rows flattened to (n, d)). A normalised weight
+    r_k / v_k below the smallest normal double counts as zero, so the score
+    may differ from the exact one by at most K * tiny * max|x - mu_k| per
+    element.
     """
-    if sigma < 0:
-        raise DomainError("sigma must be nonnegative")
+    _check_sigma(sigma)
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != prior.means.shape[1]:
         raise ShapeError(
@@ -194,10 +220,14 @@ def mixture_score(prior: MixturePrior, x: np.ndarray, sigma: float) -> np.ndarra
     # score = -sum_k r_k (x - mu_k) / v_k, without forming the (K, d) tensor.
     # A weight whose exp underflowed is exactly 0 and adds exactly nothing,
     # so the second pass may read only the live components: those with a
-    # nonzero weight in some row. Subnormal weights stay live. The weights are
-    # nonnegative, so a column sum is 0 only where every row's weight is 0.
+    # nonzero weight in some row. The weights are nonnegative, so a column
+    # sum is 0 only where every row's weight is 0.
     k = rv.shape[-1]
     live = np.flatnonzero(rv if rv.ndim == 1 else rv.reshape(-1, k).sum(axis=0))
+    # A subnormal weight would put every product with its exemplar on the
+    # CPU's slow path. Zeroed only now, after the live set is taken, so the
+    # gather and the shape of the product are what they were with it kept.
+    rv[rv < _TINY] = 0.0
     if 3 * live.size > k:
         # gathering m live rows reads and writes them before the product
         # reads them again, 3m rows of traffic against K for the dense

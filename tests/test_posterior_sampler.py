@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,19 @@ from duetsep import (
     InpaintCondition,
     Integrator,
     MixtureProblem,
+    Mode,
     NoiseSchedule,
     SamplerConfig,
+    Selection,
+    SeparationConfig,
     Waveform,
     apply_inpaint,
     make_grid,
+    plan_segments,
     posterior_score,
     sample_posterior,
     sample_prior,
+    separate,
 )
 from duetsep.errors import (
     ConfigurationError,
@@ -32,6 +39,19 @@ def config(steps=50, seed=0, smin=0.01, smax=10.0, integ=Integrator.HEUN):
 
 def problem_for(mixture, n_sources=2):
     return MixtureProblem(Waveform(mixture, 8000), n_sources)
+
+
+class Exploding:
+    """A length-4 model whose score turns NaN after `calm_calls` calls."""
+
+    native_length = 4
+
+    def __init__(self, calm_calls=0):
+        self.calls_left = calm_calls
+
+    def score(self, x, sigma):
+        self.calls_left -= 1
+        return -x if self.calls_left >= 0 else np.full_like(x, np.nan)
 
 
 class TestSamplePrior:
@@ -88,15 +108,34 @@ class TestSamplePrior:
             sample_prior(model, config())
 
     def test_divergence_raises_with_step(self):
-        class Exploding:
-            native_length = 4
-
-            def score(self, x, sigma):
-                return np.full_like(x, np.nan)
-
+        cfg = config(steps=3)
         with pytest.raises(NumericalDivergenceError) as exc:
-            sample_prior(Exploding(), config(steps=3))
+            sample_prior(Exploding(), cfg)
         assert exc.value.step == 0
+        assert exc.value.sigma == cfg.grid.sigmas[1]
+        assert exc.value.segment is None
+        assert str(exc.value) == "non-finite state at integrator step 0, sigma 1"
+
+    def test_divergence_in_separate_names_its_segment(self):
+        # segmented, 3 segments of 4, best-of-1, 3 Heun steps: each segment
+        # makes 3 steps x 2 stages x 2 sources = 12 score calls
+        model = Exploding(calm_calls=12)
+        cfg = SeparationConfig(
+            mode=Mode.SEGMENTED,
+            plan=plan_segments(12, 4, 0.0),
+            grid=config(steps=3).grid,
+            selection=Selection.MIXTURE_RESIDUAL,
+        )
+        with pytest.raises(NumericalDivergenceError) as exc:
+            separate(problem_for(np.ones(12)), [model, model], cfg)
+        assert (exc.value.segment, exc.value.step) == (1, 0)
+        assert exc.value.sigma == cfg.grid.sigmas[1]
+        assert str(exc.value) == (
+            "non-finite state at integrator step 0 of segment 1, sigma 1"
+        )
+        # as a sweep worker would send it back
+        again = pickle.loads(pickle.dumps(exc.value))
+        assert (again.segment, again.step, str(again)) == (1, 0, str(exc.value))
 
 
 class TestPosteriorScore:

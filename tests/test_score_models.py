@@ -74,8 +74,21 @@ class TestGaussianScore:
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            GaussianPrior().score(np.zeros(3), -1.0)
+        # every entry point takes sigma in [0, sqrt(max double)), the bound
+        # NoiseSchedule uses; NaN fails the comparison too
+        gp = GaussianPrior()
+        mp = MixturePrior(np.array([0.5, 0.5]), np.eye(2, 3), np.ones(2))
+        entry_points = {
+            "GaussianPrior.score": gp.score,
+            "GaussianPrior.log_density": gp.log_density,
+            "mixture_score": lambda x, sigma: mixture_score(mp, x, sigma),
+            "MixturePrior.log_density": mp.log_density,
+        }
+        for name, call in entry_points.items():
+            for sigma in (-1.0, np.nan, np.inf, 1e200, np.float64(1e200)):
+                with pytest.raises(DomainError):
+                    call(np.zeros(3), sigma)
+                    pytest.fail(f"{name} accepted sigma = {sigma!r}")
 
 
 class TestMixtureScore:
@@ -231,24 +244,46 @@ class TestSparseSecondPass:
             got = self.check(p, x, sigma)
             np.testing.assert_allclose(got, -(x - p.means[0]) / (0.7 + sigma**2), rtol=1e-12)
 
-    def test_subnormal_weight_stays_live(self):
+    @staticmethod
+    def subnormal_prior(offset):
         # component 1 sits 720 nats below component 0: exp(-720) ~ 2e-313 is
         # subnormal but not 0; components 2-5 underflow to exactly 0
         m = np.sqrt(1440.0)
         far = [[-200.0 - 50.0 * j, 0.0] for j in range(4)]
-        p = MixturePrior(
-            np.full(6, 1.0 / 6), np.array([[0.0, 0.0], [m, 0.0], *far]), np.ones(6)
-        )
+        means = np.array([[0.0, 0.0], [m, 0.0], *far]) + offset
+        return MixturePrior(np.full(6, 1.0 / 6), means, np.ones(6))
+
+    def test_subnormal_weight_stays_live(self):
+        # the weight below the smallest normal double counts as zero, but only
+        # after the live set is taken: the gather is the one it would be with
+        # the weight kept
+        tiny = np.finfo(np.float64).tiny
+        p = self.subnormal_prior(0.0)
         x = np.array([[0.0, 0.5]])
         ll = p._component_logliks(x, 0.0)[0]
         w = np.exp(ll - ll.max())
         w /= w.sum()
-        assert 0.0 < w[1] < np.finfo(np.float64).tiny and np.all(w[2:] == 0.0)
+        assert 0.0 < w[1] < tiny and np.all(w[2:] == 0.0)
         assert live_sets(p, x, 0.0) == [{0, 1}]
-        got = self.check(p, x, 0.0)
-        # the first coordinate is the subnormal weight's whole contribution
-        assert 0.0 < got[0, 0] < np.finfo(np.float64).tiny
-        assert got[0, 0] == w[1] * m
+        got = mixture_score(p, x, 0.0)
+        zeroed = np.where(w < tiny, 0.0, w)  # v = 1, so r_k / v_k = w
+        np.testing.assert_array_equal(got, zeroed @ p.means - x * zeroed.sum())
+        # the first coordinate was the subnormal weight's whole contribution
+        assert got[0, 0] == 0.0
+        bound = p.weights.size * tiny * np.max(np.abs(p.means))
+        assert np.max(np.abs(got - brute_force_score(p, x, 0.0))) <= bound
+
+    def test_subnormal_weight_beside_a_normal_one(self):
+        # where a normal weight also reaches a coordinate, the subnormal
+        # product is below its last bit: zeroing it changes nothing
+        p = self.subnormal_prior(1.0)
+        x = np.array([[0.75, 1.5]])
+        ll = p._component_logliks(x, 0.0)[0]
+        assert 0.0 < np.exp(ll[1] - ll[0]) < np.finfo(np.float64).tiny
+        assert live_sets(p, x, 0.0) == [{0, 1}]
+        got = mixture_score(p, x, 0.0)
+        np.testing.assert_array_equal(got, dense_score(p, x, 0.0))
+        np.testing.assert_allclose(got, brute_force_score(p, x, 0.0), rtol=1e-10)
 
     def test_all_live_fallback(self):
         rng = np.random.default_rng(23)
@@ -356,6 +391,19 @@ class TestNonFiniteParameters:
             MixturePrior(**params)
 
 
+class TestZeroLengthPriors:
+    """A component of length 0 fails when the prior is built, not as a
+    ZeroDivisionError in the tiled model."""
+
+    def test_gaussian(self):
+        with pytest.raises(ShapeError):
+            GaussianPrior(mean=np.zeros(0))
+
+    def test_mixture(self):
+        with pytest.raises(ShapeError):
+            MixturePrior(np.array([1.0]), np.zeros((1, 0)), np.ones(1))
+
+
 class TestTiledModel:
     def test_blockwise_matches_manual(self):
         rng = np.random.default_rng(5)
@@ -365,6 +413,19 @@ class TestTiledModel:
         got = tiled.score(x, 0.2)
         want = np.concatenate([base.score(x[i : i + 4], 0.2) for i in range(0, 12, 4)])
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_mixture_base_matches_per_block(self):
+        # naive's path: one batched score call over every block of a signal
+        rng = np.random.default_rng(26)
+        base = kde_prior_from_exemplars(rng.normal(size=(64, 256)), 0.3)
+        tiled = TiledScoreModel(base)
+        for x in (rng.normal(size=4 * 256), base.means[[3, 9, 3, 40]].ravel()):
+            for sigma in (0.0, 1e-3, 0.5, 2.0):
+                got = tiled.score(x, sigma)
+                want = np.concatenate(
+                    [mixture_score(base, b, sigma) for b in x.reshape(4, 256)]
+                )
+                np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_non_multiple_rejected(self):
         base = GaussianPrior(mean=np.zeros(4), variance=1.0)
