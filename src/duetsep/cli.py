@@ -23,7 +23,6 @@ from .errors import ConfigurationError, DomainError, ParseError, ShapeError
 from .metrics import evaluate
 from .nmf import separate_nmf
 from .pipeline import Mode, Selection, SeparationConfig, plan_segments, separate
-from .posterior_sampler import Integrator
 from .schedule import NoiseSchedule, make_grid
 from .score_models import (
     default_kde_bandwidth,
@@ -105,7 +104,6 @@ def _cmd_separate(args) -> int:
         mode=Mode(args.mode),
         plan=plan_segments(len(mixture), exemplars.shape[1], args.overlap),
         grid=make_grid(schedule, args.steps),
-        integrator=Integrator(args.integrator),
         seed=args.seed,
         best_of_k=args.best_of,
         selection=Selection.ORACLE_SI_SDR if references else Selection.MIXTURE_RESIDUAL,
@@ -255,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--best-of", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--integrator", default="heun", choices=[i.value for i in Integrator])
-    p.add_argument("--sigma-min", type=float, default=0.01)
-    p.add_argument("--sigma-max", type=float, default=10.0)
+    p.add_argument("--sigma-min", type=float, default=NoiseSchedule.sigma_min)
+    p.add_argument("--sigma-max", type=float, default=NoiseSchedule.sigma_max)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_separate)
 

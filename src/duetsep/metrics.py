@@ -206,8 +206,15 @@ def identity_switch_rate(
 ) -> float:
     """Fraction of adjacent frames whose nearest-prototype assignment flips,
     averaged over the estimated sources. Silent frames keep the previous
-    assignment so pauses do not register as switches."""
-    protos = np.asarray(prototypes, dtype=np.float64)
+    assignment so pauses do not register as switches. The prototypes must
+    form a non-empty (P, ENVELOPE_BANDS) array; ShapeError otherwise."""
+    want = f"prototypes must be a non-empty (P, {ENVELOPE_BANDS}) array"
+    try:
+        protos = np.asarray(prototypes, dtype=np.float64)
+    except ValueError as exc:  # rows of different lengths
+        raise ShapeError(want) from exc
+    if protos.ndim != 2 or protos.shape[0] == 0 or protos.shape[1] != ENVELOPE_BANDS:
+        raise ShapeError(f"{want}, got shape {protos.shape}")
     rates = []
     for est in estimates:
         x = _as_samples(est)

@@ -11,6 +11,7 @@ Modes:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
@@ -110,6 +111,9 @@ class SeparationConfig:
     selection: Selection = Selection.ORACLE_SI_SDR
 
     def __post_init__(self):
+        for name, value in (("best_of_k", self.best_of_k), ("seed", self.seed)):
+            if not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.best_of_k < 1:
             raise ConfigurationError("best_of_k must be >= 1")
         if self.seed < 0:
@@ -322,7 +326,7 @@ def separate(
                 sample_posterior(
                     seg_problem,
                     models,
-                    SamplerConfig(grid=config.grid, integrator=config.integrator, seed=seed),
+                    SamplerConfig(grid=config.grid, seed=seed),
                     conditions,
                 )
                 for seed in seeds

@@ -48,7 +48,8 @@ class ScoreModel(Protocol):
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Isotropic Gaussian prior; mean may be a scalar (broadcasts to any length)."""
+    """Isotropic Gaussian prior; mean is a 1-D array or a scalar (broadcasts to
+    any length)."""
 
     mean: np.ndarray | float = 0.0
     variance: float = 1.0
@@ -57,6 +58,8 @@ class GaussianPrior:
         if not 0 < self.variance < np.inf:  # NaN fails too
             raise ConfigurationError(f"variance must be positive and finite, got {self.variance}")
         if np.ndim(self.mean) > 0:
+            if np.ndim(self.mean) > 1:
+                raise ShapeError(f"mean must be a scalar or 1-D, got shape {np.shape(self.mean)}")
             if np.size(self.mean) == 0:
                 raise ShapeError("mean must have length >= 1")
             object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))

@@ -163,6 +163,19 @@ class TestSeparateCommand:
         assert "unrecognized arguments: --segment" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integrator_flag_is_gone(self, scenario_dir, tmp_path, capsys):
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 2048), 8000))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
+            "--integrator", "heun", "--steps", 2, "--best-of", 1, "--out", out,
+        ])
+        assert code == 2
+        assert "unrecognized arguments: --integrator" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mixed_rate_bank_exit_code(self, scenario_dir, tmp_path):
         bank_dir = tmp_path / "bank"
         bank_dir.mkdir()

@@ -267,6 +267,15 @@ class TestIdentitySwitchRate:
         with pytest.raises(DomainError):
             identity_switch_rate([np.ones(512)], self.protos(), 512)
 
+    @pytest.mark.parametrize(
+        "protos",
+        [[], [np.ones(20), np.zeros(20)], [np.ones(24), np.zeros(20)]],
+        ids=["none", "narrower-than-bands", "ragged"],
+    )
+    def test_prototypes_must_be_p_by_bands(self, protos):
+        with pytest.raises(ShapeError):
+            identity_switch_rate([tone(220.0, 2048)], protos, 512)
+
     def test_averages_over_sources(self):
         bright = tone(220.0, 1024, harmonics=((1, 0.2), (5, 1.0)))
         dark = tone(220.0, 1024, harmonics=((1, 1.0), (2, 0.3)))

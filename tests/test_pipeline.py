@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,6 +279,20 @@ def make_config(mode, n, seg, r, steps=30, seed=0, k=1):
         best_of_k=k,
         selection=Selection.ORACLE_SI_SDR,
     )
+
+
+class TestSeparationConfig:
+    @pytest.mark.parametrize(
+        "field, value", [("best_of_k", 0), ("best_of_k", 2.5), ("seed", -1), ("seed", 2.5)]
+    )
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ConfigurationError):
+            replace(make_config(Mode.AR, 96, 32, 0.75), **{field: value})
+
+    @pytest.mark.parametrize("field", ["best_of_k", "seed"])
+    def test_accepts_numpy_integers(self, field):
+        cfg = replace(make_config(Mode.AR, 96, 32, 0.75), **{field: np.int64(2)})
+        assert getattr(cfg, field) == 2
 
 
 class TestSeparate:

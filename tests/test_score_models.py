@@ -392,12 +392,16 @@ class TestNonFiniteParameters:
 
 
 class TestZeroLengthPriors:
-    """A component of length 0 fails when the prior is built, not as a
-    ZeroDivisionError in the tiled model."""
+    """A component of length 0, or a Gaussian mean that is not 1-D, fails when
+    the prior is built, not later in the tiled model or the sampler."""
 
     def test_gaussian(self):
         with pytest.raises(ShapeError):
             GaussianPrior(mean=np.zeros(0))
+
+    def test_gaussian_mean_must_be_1d(self):
+        with pytest.raises(ShapeError):
+            GaussianPrior(mean=np.zeros((2, 3)))
 
     def test_mixture(self):
         with pytest.raises(ShapeError):
