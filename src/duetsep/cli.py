@@ -1,8 +1,9 @@
 """Command-line entry point: synth / separate / nmf / eval / sweep.
 
 `sweep` also reads its arguments from `@file` (one argument per line); later
-arguments override earlier ones. Exit codes: 0 success, 2 configuration
-error, 3 runtime or numerical error (for sweep: any row that failed).
+arguments override earlier ones. Exit codes: 0 success; 2 for an input error,
+which is the library's ConfigurationError, ParseError, ShapeError or
+DomainError; 3 for any other error while running, or a failed sweep row.
 """
 
 from __future__ import annotations
@@ -303,10 +304,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ConfigurationError, ParseError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ConfigurationError, ParseError, ShapeError, DomainError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (ShapeError, DomainError, ValueError, RuntimeError, OSError, MemoryError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

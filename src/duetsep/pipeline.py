@@ -77,12 +77,11 @@ def plan_segments(signal_length: int, segment_length: int, overlap_ratio: float)
     hop = round(L * (1 - r)), which must be at least 1; the input is
     zero-padded so the last segment lines up with the hop grid.
     """
-    if segment_length < 1:
-        raise ConfigurationError("segment_length must be >= 1")
+    for name, value in (("segment_length", segment_length), ("signal_length", signal_length)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
     if not (0.0 <= overlap_ratio < 1.0):
         raise ConfigurationError(f"overlap_ratio must lie in [0, 1), got {overlap_ratio}")
-    if signal_length < 1:
-        raise ConfigurationError("signal_length must be >= 1")
     hop = round(segment_length * (1.0 - overlap_ratio))
     if hop < 1:
         raise ConfigurationError(
@@ -289,10 +288,8 @@ def separate(
     if mode is Mode.NAIVE:
         # the one plan longer than the models: they score its span blockwise
         plan = plan_segments(plan.padded_length, plan.padded_length, 0.0)
-        models = [
-            m if m.native_length in (None, plan.segment_length) else TiledScoreModel(m)
-            for m in models
-        ]
+        span = plan.segment_length
+        models = [m if m.native_length == span else TiledScoreModel(m, span) for m in models]
 
     # zero-padded once to the plan's span; each segment is a view into it
     tail = (0, plan.padded_length - len(mixture))

@@ -114,8 +114,6 @@ def sample_prior(model: ScoreModel, config: SamplerConfig) -> np.ndarray:
     """Integrate the flow from Gaussian noise at sigma_max down to sigma_min,
     at the model's native_length. Deterministic given config.seed.
     """
-    if model.native_length is None:
-        raise ConfigurationError("sample_prior needs a model with a native_length")
     rng = np.random.default_rng(config.seed)
     x = rng.standard_normal(model.native_length) * config.grid.sigmas[0]
     return _integrate(x, lambda x, s: -s * model.score(x, s), config)
@@ -171,7 +169,7 @@ def sample_posterior(
     mixture = problem.mixture.samples
     length = mixture.shape[0]
     for m in models:
-        if m.native_length is not None and m.native_length != length:
+        if m.native_length != length:
             raise ShapeError(
                 f"model native_length {m.native_length} != mixture length {length}"
             )

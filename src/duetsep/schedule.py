@@ -6,6 +6,7 @@ geometrically between sigma_min at t = 0 and sigma_max at t = 1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,8 @@ class TimeGrid:
 def make_grid(schedule: NoiseSchedule, steps: int) -> TimeGrid:
     """Uniform time grid from t = 1 down to t = 0 (steps + 1 nodes), with
     sigma(t) = sigma_min^(1-t) * sigma_max^t at each node."""
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ConfigurationError(f"steps must be an integer >= 1, got {steps!r}")
     times = np.linspace(1.0, 0.0, steps + 1)
     sigmas = schedule.sigma_min ** (1.0 - times) * schedule.sigma_max**times
     # pin the endpoints exactly

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol, Sequence, Tuple
+from typing import Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -41,42 +41,50 @@ def _check_sigma(sigma: float) -> None:
 
 
 class ScoreModel(Protocol):
-    native_length: Optional[int]
+    """A model of one signal length, native_length, which is every input's
+    last axis; a whole-signal model is built for its span (TiledScoreModel)."""
+
+    native_length: int
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray: ...
 
 
+def _check_length(x: np.ndarray, length: int, batch: bool = True) -> None:
+    """x is one row of the model's length or, if batch, a batch of them."""
+    if (x.shape[-1:] if batch else x.shape) != (length,):
+        raise ShapeError(f"x has shape {x.shape}, expected rows of length {length}")
+
+
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Isotropic Gaussian prior; mean is a 1-D array or a scalar (broadcasts to
-    any length)."""
+    """Isotropic Gaussian prior with a 1-D mean, whose length is the model's."""
 
-    mean: np.ndarray | float = 0.0
+    mean: np.ndarray
     variance: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.variance < np.inf:  # NaN fails too
             raise ConfigurationError(f"variance must be positive and finite, got {self.variance}")
-        if np.ndim(self.mean) > 0:
-            if np.ndim(self.mean) > 1:
-                raise ShapeError(f"mean must be a scalar or 1-D, got shape {np.shape(self.mean)}")
-            if np.size(self.mean) == 0:
-                raise ShapeError("mean must have length >= 1")
-            object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
+        mean = np.asarray(self.mean, dtype=np.float64)
+        if mean.ndim != 1 or mean.size == 0:
+            raise ShapeError(f"mean must be 1-D with length >= 1, got shape {mean.shape}")
+        object.__setattr__(self, "mean", mean)
 
     @property
-    def native_length(self) -> Optional[int]:
-        return None if np.ndim(self.mean) == 0 else int(np.shape(self.mean)[0])
+    def native_length(self) -> int:
+        return self.mean.shape[0]
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Exact score of the sigma-smoothed Gaussian: -(x - mean) / (variance + sigma^2)."""
         _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
+        _check_length(x, self.native_length)
         return -(x - self.mean) / (self.variance + sigma**2)
 
     def log_density(self, x: np.ndarray, sigma: float) -> float:
         _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
+        _check_length(x, self.native_length, batch=False)
         v = self.variance + sigma**2
         d = x.size
         resid = x - self.mean
@@ -132,8 +140,8 @@ class MixturePrior:
         object.__setattr__(self, "_sigma_cache", (None, None, None))
 
     @property
-    def native_length(self) -> Optional[int]:
-        return int(self.means.shape[1])
+    def native_length(self) -> int:
+        return self.means.shape[1]
 
     def _sigma_terms(self, sigma: float) -> Tuple[np.ndarray, np.ndarray]:
         """(v, log w - d/2 log 2 pi v) with v = variances + sigma^2, both (K,).
@@ -180,8 +188,7 @@ class MixturePrior:
         """log p_sigma(x) for one vector x of shape (d,)."""
         _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ShapeError("log_density takes one vector of shape (d,)")
+        _check_length(x, self.native_length, batch=False)
         ll = self._component_logliks(x, sigma)
         top = _exp_shifted(ll)
         return float(top[0] + np.log(ll.sum()))
@@ -211,10 +218,7 @@ def mixture_score(prior: MixturePrior, x: np.ndarray, sigma: float) -> np.ndarra
     """
     _check_sigma(sigma)
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != prior.means.shape[1]:
-        raise ShapeError(
-            f"x has length {x.shape[-1]}, prior expects {prior.means.shape[1]}"
-        )
+    _check_length(x, prior.means.shape[1])
     rv = prior._component_logliks(x, sigma)  # (..., K), turned into r_k / v_k
     v, _ = prior._sigma_terms(sigma)
     _exp_shifted(rv)
@@ -278,27 +282,23 @@ def kde_prior_from_exemplars(
 
 
 class TiledScoreModel:
-    """Applies a fixed-length model blockwise to any multiple of its length.
+    """A fixed-length model applied blockwise over a span of `length`, a
+    multiple of the base's length; the span is the tiled model's one length.
 
-    The implied prior factorizes over consecutive blocks, which is how a
-    segment-level prior extends to a full-length signal.
+    The implied prior factorizes over consecutive blocks, which is how naive
+    extends a segment-level prior to its one padded span.
     """
 
-    native_length: Optional[int] = None
-
-    def __init__(self, base: ScoreModel):
-        if base.native_length is None:
-            raise ConfigurationError("base model must have a fixed native_length")
+    def __init__(self, base: ScoreModel, length: int):
+        if length < 1 or length % base.native_length != 0:
+            raise ShapeError(f"span {length} is no positive multiple of {base.native_length}")
         self.base = base
-        self.block = int(base.native_length)
+        self.native_length = length
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] % self.block != 0:
-            raise ShapeError(
-                f"length {x.shape[-1]} is not a multiple of block {self.block}"
-            )
-        blocks = x.reshape(-1, self.block)
+        _check_length(x, self.native_length)
+        blocks = x.reshape(-1, self.base.native_length)
         out = self.base.score(blocks, sigma)
         return np.asarray(out).reshape(x.shape)
 

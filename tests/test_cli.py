@@ -12,7 +12,13 @@ import duetsep
 from duetsep import Waveform, bench, cli, read_wav, write_wav
 from duetsep.bench import SweepSpec, build_case, run_mode, run_nmf_baseline, sweep
 from duetsep.cli import build_parser, main
-from duetsep.errors import ConfigurationError
+from duetsep.errors import (
+    ConfigurationError,
+    DomainError,
+    NumericalDivergenceError,
+    ParseError,
+    ShapeError,
+)
 from duetsep.pipeline import Mode, Selection, SeparationConfig, plan_segments
 from duetsep.schedule import make_grid
 
@@ -371,13 +377,80 @@ def test_numeric_flag_table(tiny_inputs, tmp_path, command, flag, value):
 
 
 def test_memory_error_exit_code(monkeypatch, tmp_path, capsys):
-    """Running out of memory exits 3 with its message, not a traceback."""
-    def exhausted(args):
-        raise MemoryError("Unable to allocate 600. GiB")
+    """The exit code follows the error's type: the library's input errors
+    exit 2, anything else while running exits 3, running out of memory
+    included, each with its message and not a traceback."""
+    table = [
+        (ConfigurationError, 2), (ParseError, 2), (ShapeError, 2), (DomainError, 2),
+        (RuntimeError, 3), (NumericalDivergenceError, 3), (ValueError, 3),
+        (OSError, 3), (MemoryError, 3),
+    ]
+    for error, code in table:
+        exc = error(0, 1.0) if error is NumericalDivergenceError else error("Unable to allocate")
 
-    monkeypatch.setattr(cli, "_cmd_synth", exhausted)
-    assert run(["synth", "--out", tmp_path / "x"]) == 3
-    assert "error: Unable to allocate 600. GiB" in capsys.readouterr().err
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_synth", failing)
+        assert run(["synth", "--out", tmp_path / "x"]) == code, error.__name__
+        assert f"error: {exc}" in capsys.readouterr().err
+
+
+def _wav(path, samples, rate=8000):
+    write_wav(path, Waveform(samples, rate))
+    return path
+
+
+def _nan_wav(path):
+    # Waveform refuses NaN, so the file is written without it
+    from scipy.io import wavfile
+
+    wavfile.write(path, 8000, np.array([0.1, np.nan, 0.2] * 200, dtype=np.float32))
+    return path
+
+
+def _mixed_length_bank(root):
+    (root / "bank").mkdir()
+    _wav(root / "bank" / "a.wav", np.full(256, 0.1))
+    _wav(root / "bank" / "b.wav", np.full(128, 0.1))
+    return root / "bank"
+
+
+def _refs(root, length, rate):
+    return [_wav(root / f"ref{i}.wav", np.full(length, 0.1 * i), rate) for i in (1, 2)]
+
+
+def _eval_with_silent_ref(root, mixture):
+    for d in ("est", "refs"):
+        (root / d).mkdir()
+        _wav(root / d / "a.wav", np.full(600, 0.1))
+        _wav(root / d / "b.wav", np.zeros(600) if d == "refs" else np.full(600, 0.2))
+    return ["eval", "--est", root / "est", "--refs", root / "refs", "--mixture", mixture]
+
+
+# each names a bad input file, found by a check before anything is written
+BAD_FILES = {
+    "nan-mixture": lambda root, inp: ["--mixture", _nan_wav(root / "nan.wav")],
+    "empty-mixture": lambda root, inp: ["--mixture", _wav(root / "empty.wav", np.zeros(0))],
+    "mixed-length-bank": lambda root, inp: ["--bank", _mixed_length_bank(root)],
+    "short-refs": lambda root, inp: ["--refs", *_refs(root, 599, 8000)],
+    "refs-other-rate": lambda root, inp: ["--refs", *_refs(root, 600, 16000)],
+    "eval-silent-ref": lambda root, inp: _eval_with_silent_ref(root, inp / "mixture.wav"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FILES))
+def test_bad_input_file_exit_code(tiny_inputs, tmp_path, case):
+    """A bad file is an input error, whichever check finds it: it exits 2 and
+    leaves no --out behind."""
+    out = tmp_path / "out"
+    argv = BAD_FILES[case](tmp_path, tiny_inputs)
+    if argv[0] != "eval":
+        # the bad file replaces its flag's good value: argparse keeps the last
+        argv = ["separate", "--mixture", tiny_inputs / "mixture.wav",
+                "--bank", tiny_inputs / "bank", "--steps", 2, "--best-of", 1, *argv]
+    assert run([*argv, "--out", out]) == 2
+    assert not out.exists()
 
 
 class TestEvalCommand:
@@ -413,7 +486,7 @@ class TestEvalCommand:
         code = run(["eval", "--est", est_dir, "--refs", refs_dir,
                     "--mixture", scenario_dir / "mixture.wav",
                     "--out", tmp_path / "r.json"])
-        assert code == 3
+        assert code == 2
 
     def test_count_mismatch_exit_code(self, scenario_dir, tmp_path):
         est_dir = tmp_path / "est"

@@ -25,6 +25,7 @@ from duetsep import (
     si_sdr,
     stitch,
 )
+from duetsep import pipeline
 from duetsep.errors import ConfigurationError, ShapeError
 from duetsep.pipeline import _safe_si_sdr
 
@@ -73,10 +74,12 @@ class TestPlanSegments:
         assert plan.hop == 1 and plan.offsets == (0, 1, 2, 3)
 
     def test_invalid_lengths(self):
-        with pytest.raises(ConfigurationError):
-            plan_segments(100, 0, 0.0)
-        with pytest.raises(ConfigurationError):
-            plan_segments(0, 32, 0.0)
+        # a length below 1, or one that is not integral; numpy integers pass
+        for lengths in [(100, 0), (0, 32), (100, 10.0), (100.0, 10), (np.float64(100), 10)]:
+            with pytest.raises(ConfigurationError):
+                plan_segments(*lengths, 0.0)
+                pytest.fail(f"plan_segments accepted lengths {lengths!r}")
+        assert plan_segments(np.int64(100), np.int32(10), 0.0).padded_length == 100
 
     @given(
         n=st.integers(1, 4000),
@@ -470,6 +473,16 @@ class TestSeparate:
         models = [GaussianPrior(mean=np.zeros(24), variance=1.0)] * 2
         cfg = make_config(Mode.SEGMENTED, 64, 32, 0.0, steps=5)
         with pytest.raises(ShapeError):
+            separate(problem, models, cfg, references=refs)
+
+    def test_naive_rejects_a_length_that_does_not_divide_its_span(self, monkeypatch):
+        """naive builds its tiled model for the padded span, so a prior whose
+        length does not divide it fails there, before any segment is sampled."""
+        problem, refs = toy_problem(64)
+        models = [GaussianPrior(mean=np.zeros(24), variance=1.0)] * 2
+        cfg = make_config(Mode.NAIVE, 64, 32, 0.0, steps=5)
+        monkeypatch.setattr(pipeline, "sample_posterior", lambda *a: pytest.fail("sampled"))
+        with pytest.raises(ShapeError, match="span 64 is no positive multiple of 24"):
             separate(problem, models, cfg, references=refs)
 
     def test_tiled_model_used_for_multiples(self):

@@ -86,11 +86,6 @@ class TestSamplePrior:
         d1 = -s1 * model.score(x0 + h * d0, s1)
         np.testing.assert_allclose(out, x0 + h / 2 * (d0 + d1), rtol=1e-12)
 
-    def test_length_required_without_native(self):
-        model = GaussianPrior(mean=0.0, variance=1.0)
-        with pytest.raises(ConfigurationError):
-            sample_prior(model, config())
-
     def test_divergence_raises_with_step(self):
         cfg = config(steps=3)
         with pytest.raises(NumericalDivergenceError) as exc:
@@ -146,14 +141,14 @@ class TestPosteriorScore:
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
     def test_symmetric_stationary_point(self):
-        p = GaussianPrior(mean=0.0, variance=1.0)
+        p = GaussianPrior(mean=np.zeros(3), variance=1.0)
         g = posterior_score([p, p], [np.zeros(3)], np.zeros(3), 0.0)
         np.testing.assert_array_equal(g[0], 0.0)
 
     def test_scalar_example(self):
         # p1 = p2 = N(0, 1), sigma = 0, mixture = 2, s2 = 0:
         # grad = -s2/1 + (mixture - s2)/1 = 2
-        p = GaussianPrior(mean=0.0, variance=1.0)
+        p = GaussianPrior(mean=np.zeros(1), variance=1.0)
         g = posterior_score([p, p], [np.array([0.0])], np.array([2.0]), 0.0)
         np.testing.assert_allclose(g[0], [2.0])
 
@@ -168,7 +163,7 @@ class TestPosteriorScore:
         np.testing.assert_allclose(g_ab[1], g_ba[0], rtol=1e-12)
 
     def test_shape_errors(self):
-        p = GaussianPrior(mean=0.0, variance=1.0)
+        p = GaussianPrior(mean=np.zeros(4), variance=1.0)
         with pytest.raises(ConfigurationError):
             posterior_score([p], [], np.zeros(4), 0.1)
         with pytest.raises(ConfigurationError):

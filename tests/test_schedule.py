@@ -43,9 +43,13 @@ def test_sigmas_strictly_decreasing():
         assert np.all(np.diff(grid.sigmas) < 0)
 
 
-def test_zero_steps_rejected():
-    with pytest.raises(ConfigurationError):
-        make_grid(NoiseSchedule(), 0)
+def test_bad_steps_rejected():
+    # a step count below 1, or one that is not integral; numpy integers pass
+    for steps in (0, -1, 2.5, 2.0, np.float64(3)):
+        with pytest.raises(ConfigurationError):
+            make_grid(NoiseSchedule(), steps)
+            pytest.fail(f"make_grid accepted steps = {steps!r}")
+    assert make_grid(NoiseSchedule(), np.int64(3)).steps == 3
 
 
 def test_monotone_in_t():

@@ -62,7 +62,7 @@ class TestGaussianScore:
         np.testing.assert_array_equal(p.score(np.array([1.0, -2.0]), 0.3), 0.0)
 
     def test_analytic_value(self):
-        p = GaussianPrior(mean=0.0, variance=1.0)
+        p = GaussianPrior(mean=np.zeros(1), variance=1.0)
         np.testing.assert_allclose(p.score(np.array([2.0]), 0.0), [-2.0])
 
     def test_matches_finite_differences(self):
@@ -76,7 +76,7 @@ class TestGaussianScore:
     def test_negative_sigma_rejected(self):
         # every entry point takes sigma in [0, sqrt(max double)), the bound
         # NoiseSchedule uses; NaN fails the comparison too
-        gp = GaussianPrior()
+        gp = GaussianPrior(mean=np.zeros(3))
         mp = MixturePrior(np.array([0.5, 0.5]), np.eye(2, 3), np.ones(2))
         entry_points = {
             "GaussianPrior.score": gp.score,
@@ -89,6 +89,24 @@ class TestGaussianScore:
                 with pytest.raises(DomainError):
                     call(np.zeros(3), sigma)
                     pytest.fail(f"{name} accepted sigma = {sigma!r}")
+
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize(
+        "entry_point", ["GaussianPrior.score", "GaussianPrior.log_density",
+                        "MixturePrior.log_density"],
+    )
+    def test_wrong_length_rejected(self, entry_point, length):
+        """Every entry point of a length-4 prior refuses another length, as
+        mixture_score does, rather than broadcasting or failing in numpy."""
+        gp = GaussianPrior(mean=np.zeros(4))
+        mp = MixturePrior(np.array([0.5, 0.5]), np.eye(2, 4), np.ones(2))
+        call = {
+            "GaussianPrior.score": gp.score,
+            "GaussianPrior.log_density": gp.log_density,
+            "MixturePrior.log_density": mp.log_density,
+        }[entry_point]
+        with pytest.raises(ShapeError, match="length 4"):
+            call(np.zeros(length), 0.1)
 
 
 class TestMixtureScore:
@@ -376,7 +394,7 @@ class TestNonFiniteParameters:
     @pytest.mark.parametrize("variance", [np.nan, np.inf])
     def test_gaussian_variance(self, variance):
         with pytest.raises(ConfigurationError):
-            GaussianPrior(variance=variance)
+            GaussianPrior(mean=np.zeros(2), variance=variance)
 
     @pytest.mark.parametrize("field", ["weights", "variances", "means"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -400,8 +418,9 @@ class TestZeroLengthPriors:
             GaussianPrior(mean=np.zeros(0))
 
     def test_gaussian_mean_must_be_1d(self):
-        with pytest.raises(ShapeError):
-            GaussianPrior(mean=np.zeros((2, 3)))
+        for mean in (0.0, np.zeros((2, 3))):
+            with pytest.raises(ShapeError):
+                GaussianPrior(mean=mean)
 
     def test_mixture(self):
         with pytest.raises(ShapeError):
@@ -412,7 +431,7 @@ class TestTiledModel:
     def test_blockwise_matches_manual(self):
         rng = np.random.default_rng(5)
         base = kde_prior_from_exemplars(rng.normal(size=(3, 4)), 0.5)
-        tiled = TiledScoreModel(base)
+        tiled = TiledScoreModel(base, 12)
         x = rng.normal(size=12)
         got = tiled.score(x, 0.2)
         want = np.concatenate([base.score(x[i : i + 4], 0.2) for i in range(0, 12, 4)])
@@ -422,7 +441,7 @@ class TestTiledModel:
         # naive's path: one batched score call over every block of a signal
         rng = np.random.default_rng(26)
         base = kde_prior_from_exemplars(rng.normal(size=(64, 256)), 0.3)
-        tiled = TiledScoreModel(base)
+        tiled = TiledScoreModel(base, 4 * 256)
         for x in (rng.normal(size=4 * 256), base.means[[3, 9, 3, 40]].ravel()):
             for sigma in (0.0, 1e-3, 0.5, 2.0):
                 got = tiled.score(x, sigma)
@@ -434,7 +453,16 @@ class TestTiledModel:
     def test_non_multiple_rejected(self):
         base = GaussianPrior(mean=np.zeros(4), variance=1.0)
         with pytest.raises(ShapeError):
-            TiledScoreModel(base).score(np.zeros(6), 0.1)
+            TiledScoreModel(base, 6)
+
+    def test_other_length_rejected(self):
+        """A tiled model scores its own span only, not every multiple of its
+        block."""
+        tiled = TiledScoreModel(GaussianPrior(mean=np.zeros(4), variance=1.0), 12)
+        assert tiled.native_length == 12
+        for length in (4, 8, 16):
+            with pytest.raises(ShapeError):
+                tiled.score(np.zeros(length), 0.1)
 
 
 class TestBankIO:
