@@ -86,9 +86,14 @@ def read_wav(path) -> Waveform:
     from scipy.io import wavfile
 
     try:
-        rate, data = wavfile.read(os.fspath(path))
-    except ValueError as exc:
-        raise ParseError(f"cannot parse WAV file {path}: {exc}") from exc
+        fh = open(path, "rb")
+    except OSError as exc:  # missing, a directory, unreadable: an input error
+        raise ConfigurationError(f"cannot open WAV file {path}: {exc.strerror}") from exc
+    with fh:
+        try:
+            rate, data = wavfile.read(fh)
+        except ValueError as exc:
+            raise ParseError(f"cannot parse WAV file {path}: {exc}") from exc
     if data.ndim != 1:
         raise UnsupportedFormatError(
             f"{path}: only mono WAV is supported, got {data.shape[1]} channels"

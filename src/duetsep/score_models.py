@@ -30,7 +30,10 @@ __all__ = [
 ]
 
 
-# the smallest normal double: a mixture weight below it counts as zero
+# the unit roundoff of a double, 2^-53, and the smallest normal double: the
+# second pass drops a responsibility below u/K, or one whose weight r_k / v_k
+# would fall below tiny
+_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -98,14 +101,16 @@ class MixturePrior:
     The parameters are stored as read-only views, and log w and |mu|^2 are
     computed once here, so that a score call reads the (K, d) bank only in its
     two matmuls, the second often over the live components alone. The
-    first pass puts the bank on the left, and a weight below the smallest
-    normal double counts as zero in the second (see mixture_score). The
-    per-sigma terms v_k + sigma^2 and the log-normaliser are kept for the last
-    sigma seen, since an integrator step scores each sigma several times. A
-    float64 array passed in is not copied: the prior shares its memory with
-    the caller's array, which stays writable. The caller must not edit that
-    array after the prior is built; nothing detects it, and the cached |mu|^2
-    would no longer match the means.
+    first pass puts the bank on the left. The second reads only the
+    components that carry mass: a responsibility below u/K (u = 2^-53, the
+    unit roundoff) counts as zero, and so does one whose weight r_k / v_k
+    would be subnormal (see mixture_score for the error bound). The per-sigma
+    terms v_k + sigma^2, the log-normaliser and the responsibility floor are
+    kept for the last sigma seen, since an integrator step scores each sigma
+    several times. A float64 array passed in is not copied: the prior shares
+    its memory with the caller's array, which stays writable. The caller must
+    not edit that array after the prior is built; nothing detects it, and the
+    cached |mu|^2 would no longer match the means.
     """
 
     weights: np.ndarray
@@ -137,26 +142,29 @@ class MixturePrior:
             object.__setattr__(self, name, view)
         object.__setattr__(self, "_log_weights", np.log(w))
         object.__setattr__(self, "_means_sq", means_sq)
-        object.__setattr__(self, "_sigma_cache", (None, None, None))
+        object.__setattr__(self, "_sigma_cache", (None, None, None, None))
 
     @property
     def native_length(self) -> int:
         return self.means.shape[1]
 
-    def _sigma_terms(self, sigma: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(v, log w - d/2 log 2 pi v) with v = variances + sigma^2, both (K,).
+    def _sigma_terms(self, sigma: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, log w - d/2 log 2 pi v, floor) with v = variances + sigma^2, all (K,).
 
-        Kept for the last sigma seen, as read-only arrays. The cache is one
-        tuple, swapped whole, so a reader never pairs one sigma's terms with
-        another's.
+        floor_k = max(u/K, 2 tiny v_k) is the smallest responsibility that
+        mixture_score keeps: any r_k >= 2 tiny v_k gives r_k / v_k >= tiny,
+        with a factor 2 for the roundings of both products. Kept for the last
+        sigma seen, as read-only arrays. The cache is one tuple, swapped whole,
+        so a reader never pairs one sigma's terms with another's.
         """
-        cached_sigma, v, const = self._sigma_cache
+        cached_sigma, v, const, floor = self._sigma_cache
         if cached_sigma != sigma:
             v = self.variances + sigma**2
             const = self._log_weights - 0.5 * self.means.shape[1] * np.log(2 * np.pi * v)
-            v.flags.writeable = const.flags.writeable = False
-            object.__setattr__(self, "_sigma_cache", (sigma, v, const))
-        return v, const
+            floor = np.maximum(_ROUNDOFF / v.size, 2 * _TINY * v)
+            v.flags.writeable = const.flags.writeable = floor.flags.writeable = False
+            object.__setattr__(self, "_sigma_cache", (sigma, v, const, floor))
+        return v, const, floor
 
     def _component_logliks(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """log w_k + log N(x; mu_k, (v_k + sigma^2) I), x shaped (..., d).
@@ -165,7 +173,7 @@ class MixturePrior:
         is a single matmul rather than a (K, d) difference tensor. Returns a
         fresh array that the caller may overwrite.
         """
-        v, const = self._sigma_terms(sigma)
+        v, const, _ = self._sigma_terms(sigma)
         x_sq = np.einsum("...d,...d->...", x, x)  # (...,)
         # (..., K), reused in place below. The bank goes on the left: with the
         # OpenBLAS 0.3.31 of numpy's wheel, means @ rows.T ran faster than
@@ -211,30 +219,35 @@ def mixture_score(prior: MixturePrior, x: np.ndarray, sigma: float) -> np.ndarra
 
     Accepts x of shape (d,) or a batch (..., d); the score is computed
     independently per row. The first pass puts the bank on the left
-    (means @ rows.T, over the rows flattened to (n, d)). A normalised weight
-    r_k / v_k below the smallest normal double counts as zero, so the score
-    may differ from the exact one by at most K * tiny * max|x - mu_k| per
-    element.
+    (means @ rows.T, over the rows flattened to (n, d)). The second pass reads
+    only the components that carry mass: a responsibility r_k below u/K
+    (u = 2^-53, the unit roundoff) counts as zero, and so does one whose
+    weight r_k / v_k would be below the smallest normal double, tiny, so no
+    subnormal weight reaches the second matmul, dense or gathered. The
+    dropped weights of a row sum to less than u * mean_k(1 / v_k) + 2 K tiny,
+    so the score differs from the exact one by at most
+    (u * mean_k(1 / v_k) + 2 K tiny) * max_k |x - mu_k| per element. For a
+    KDE (one variance v) the first term is u / v = u * sum_k r_k / v_k: one
+    rounding of the second pass; the tiny term matters only for sigma near
+    MAX_SIGMA.
     """
     _check_sigma(sigma)
     x = np.asarray(x, dtype=np.float64)
     _check_length(x, prior.means.shape[1])
     rv = prior._component_logliks(x, sigma)  # (..., K), turned into r_k / v_k
-    v, _ = prior._sigma_terms(sigma)
+    v, _, floor = prior._sigma_terms(sigma)
     _exp_shifted(rv)
     rv /= rv.sum(axis=-1, keepdims=True)
-    rv /= v
     # score = -sum_k r_k (x - mu_k) / v_k, without forming the (K, d) tensor.
-    # A weight whose exp underflowed is exactly 0 and adds exactly nothing,
-    # so the second pass may read only the live components: those with a
-    # nonzero weight in some row. The weights are nonnegative, so a column
-    # sum is 0 only where every row's weight is 0.
+    # A zero weight adds exactly nothing, so the second pass may read only the
+    # live components: those kept in some row. Zeroed before the live set is
+    # taken, so a weight that carries less than one rounding of its row costs
+    # nothing. The weights are nonnegative, so a column sum is 0 only where
+    # every row's weight is 0.
+    rv[rv < floor] = 0.0
+    rv /= v
     k = rv.shape[-1]
     live = np.flatnonzero(rv if rv.ndim == 1 else rv.reshape(-1, k).sum(axis=0))
-    # A subnormal weight would put every product with its exemplar on the
-    # CPU's slow path. Zeroed only now, after the live set is taken, so the
-    # gather and the shape of the product are what they were with it kept.
-    rv[rv < _TINY] = 0.0
     if 3 * live.size > k:
         # gathering m live rows reads and writes them before the product
         # reads them again, 3m rows of traffic against K for the dense

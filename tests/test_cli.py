@@ -298,12 +298,29 @@ class TestSeparateCommand:
             assert code == 2
             assert not out.exists()
 
-    def test_missing_mixture_exit_code(self, tmp_path):
+    def test_missing_mixture_exit_code(self, tmp_path, capsys):
         code = run([
             "separate", "--mixture", tmp_path / "nope.wav",
             "--bank", tmp_path, "--out", tmp_path / "sep",
         ])
-        assert code in (2, 3)
+        assert code == 2
+        assert "nope.wav" in capsys.readouterr().err
+
+    def test_missing_reference_exit_code(self, scenario_dir, tmp_path, capsys):
+        """A reference that cannot be opened is an input error, named, and
+        nothing is written."""
+        bank_dir = tmp_path / "bank"
+        bank_dir.mkdir()
+        write_wav(bank_dir / "ex.wav", Waveform(np.linspace(-0.5, 0.5, 2048), 8000))
+        out = tmp_path / "sep"
+        code = run([
+            "separate", "--mixture", scenario_dir / "mixture.wav", "--bank", bank_dir,
+            "--steps", 2, "--best-of", 1,
+            "--refs", scenario_dir / "voice1.wav", tmp_path / "nope.wav", "--out", out,
+        ])
+        assert code == 2
+        assert "nope.wav" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNmfCommand:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,12 @@ class TestWavIO:
         p.write_bytes(b"RIFF\x10\x00\x00\x00WAV")
         with pytest.raises(ParseError):
             read_wav(p)
+
+    @pytest.mark.parametrize("name", ["missing.wav", "."], ids=["missing", "directory"])
+    def test_unopenable_path_is_an_input_error(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+            read_wav(path)
 
     def test_multichannel_rejected(self, tmp_path):
         from scipy.io import wavfile

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from duetsep import (
@@ -13,7 +15,11 @@ from duetsep import (
     write_wav,
 )
 from duetsep.errors import ConfigurationError, DomainError, ShapeError
+from duetsep.schedule import MAX_SIGMA
 from duetsep.score_models import default_kde_bandwidth
+
+U = np.finfo(np.float64).eps / 2  # unit roundoff, 2^-53
+TINY = np.finfo(np.float64).tiny
 
 
 def brute_force_score(prior, x, sigma):
@@ -45,6 +51,49 @@ def live_sets(prior, x, sigma):
     w = np.exp(ll - ll.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     return [set(np.flatnonzero(row)) for row in w]
+
+
+def row_scales(prior, x, sigma):
+    """Per row, S = sum_k r_k / v_k and max_k |x - mu_k|, each shaped to
+    broadcast against the score."""
+    v = prior.variances + sigma**2
+    diff = x[..., None, :] - prior.means  # (..., K, d)
+    ll = (
+        np.log(prior.weights)
+        - 0.5 * prior.means.shape[1] * np.log(v)
+        - 0.5 * np.sum(diff * diff, axis=-1) / v
+    )
+    resp = np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))
+    s = np.sum(resp / v, axis=-1)
+    return s[..., None], np.max(np.abs(diff), axis=(-2, -1))[..., None]
+
+
+def dropped_bound(prior, x, sigma):
+    """mixture_score's stated error bound, per row:
+    (u mean_k(1 / v_k) + 2 K tiny) max_k |x - mu_k|."""
+    _, reach = row_scales(prior, x, sigma)
+    v = prior.variances + sigma**2
+    return (U * np.mean(1.0 / v) + 2 * v.size * TINY) * reach
+
+
+def second_pass(prior, x, sigma):
+    """mixture_score(prior, x, sigma) and the operands of its gathered second
+    pass, (weights, bank rows), or None when it took the dense product.
+
+    The gather is the score's one np.dot; the spy copies what it is handed.
+    """
+    gathers = []
+    real_dot = np.dot
+
+    def spy(a, b, *args, **kwargs):
+        gathers.append((np.array(a), np.array(b)))
+        return real_dot(a, b, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "dot", spy)
+        out = mixture_score(prior, x, sigma)
+    assert len(gathers) <= 1
+    return out, (gathers[0] if gathers else None)
 
 
 def finite_diff(log_density, x, sigma, eps=1e-5):
@@ -209,10 +258,11 @@ class TestMixtureScore:
 
 
 class TestSparseSecondPass:
-    """The second pass reads only components with a nonzero weight in some
-    row, when at most a third of them are live; an exactly-zero weight adds
-    exactly nothing, so the score is the dense rv @ means product without its
-    zero terms."""
+    """The second pass reads only components with a kept weight in some row,
+    when at most a third of them are live. A responsibility below u/K, or one
+    whose weight r_k / v_k would be subnormal, is zeroed, and a zero weight
+    adds exactly nothing, so the score is the dense rv @ means product without
+    terms that are each below one rounding of the row."""
 
     def check(self, p, x, sigma):
         got = mixture_score(p, x, sigma)
@@ -271,10 +321,10 @@ class TestSparseSecondPass:
         means = np.array([[0.0, 0.0], [m, 0.0], *far]) + offset
         return MixturePrior(np.full(6, 1.0 / 6), means, np.ones(6))
 
-    def test_subnormal_weight_stays_live(self):
-        # the weight below the smallest normal double counts as zero, but only
-        # after the live set is taken: the gather is the one it would be with
-        # the weight kept
+    def test_subnormal_weight_is_dropped_from_the_live_set(self):
+        # the weight below the smallest normal double, far below u/K of its
+        # row, counts as zero before the live set is taken: nonzero, but the
+        # gather reads component 0 alone
         tiny = np.finfo(np.float64).tiny
         p = self.subnormal_prior(0.0)
         x = np.array([[0.0, 0.5]])
@@ -283,7 +333,8 @@ class TestSparseSecondPass:
         w /= w.sum()
         assert 0.0 < w[1] < tiny and np.all(w[2:] == 0.0)
         assert live_sets(p, x, 0.0) == [{0, 1}]
-        got = mixture_score(p, x, 0.0)
+        got, (_, rows) = second_pass(p, x, 0.0)
+        np.testing.assert_array_equal(rows, p.means[[0]])
         zeroed = np.where(w < tiny, 0.0, w)  # v = 1, so r_k / v_k = w
         np.testing.assert_array_equal(got, zeroed @ p.means - x * zeroed.sum())
         # the first coordinate was the subnormal weight's whole contribution
@@ -302,6 +353,108 @@ class TestSparseSecondPass:
         got = mixture_score(p, x, 0.0)
         np.testing.assert_array_equal(got, dense_score(p, x, 0.0))
         np.testing.assert_allclose(got, brute_force_score(p, x, 0.0), rtol=1e-10)
+
+    def test_mass_threshold_keeps_components_just_above_it(self):
+        # x = 0 sits on component 0; component 1 (on axis 0) carries 1.5 u/K
+        # of the row's mass and component 2 (on axis 1) 0.5 u/K, with v = 1
+        # so that r_k / v_k = r_k. Components 3-7 are nonzero and far below.
+        k = 8
+        share = np.array([1.5, 0.5]) * U / k
+        reach = np.sqrt(-2.0 * np.log(share))  # exp(-reach^2 / 2) = share
+        means = np.zeros((k, 2))
+        means[1, 0], means[2, 1] = reach
+        means[3:, 0] = -np.linspace(10.0, 12.0, k - 3)
+        p = MixturePrior(np.full(k, 1.0 / k), means, np.ones(k))
+        x = np.zeros((1, 2))
+        w = np.exp(p._component_logliks(x, 0.0)[0])
+        w /= w.sum()
+        np.testing.assert_allclose(w[1:3] * k / U, [1.5, 0.5], rtol=1e-9)
+        assert live_sets(p, x, 0.0) == [set(range(k))]
+        got, (_, rows) = second_pass(p, x, 0.0)
+        np.testing.assert_array_equal(rows, p.means[[0, 1]])
+        # component 1's pull is kept; component 2's, a coordinate of its own,
+        # is gone, and the score stays within the stated bound of the exact one
+        assert got[0, 0] > 0.0 and got[0, 1] == 0.0
+        want = brute_force_score(p, x, 0.0)
+        assert np.all(np.abs(got - want) <= dropped_bound(p, x, 0.0))
+        assert np.abs(got[0, 1] - want[0, 1]) > 0.0
+
+    def test_rows_keeping_disjoint_sets_gather_their_union(self):
+        # every component carries some weight in both rows, so each row's
+        # nonzero set is all 12; each row keeps only its own pair, and the
+        # 4-component union is gathered (3 * 4 <= 12)
+        rng = np.random.default_rng(26)
+        k = 12
+        means = np.zeros((k, 2))
+        means[1] = [1.0, 0.5]
+        means[2], means[3] = [15.0, 0.0], [14.0, -0.5]
+        means[4:] = [[7.5, 12.0 + j] for j in range(k - 4)]
+        p = MixturePrior(np.full(k, 1.0 / k), means, rng.uniform(0.8, 1.2, k))
+        x = np.array([[0.3, 0.1], [14.6, -0.2]])
+        assert live_sets(p, x, 0.0) == [set(range(k))] * 2
+        got, (weights, rows) = second_pass(p, x, 0.0)
+        np.testing.assert_array_equal(rows, p.means[[0, 1, 2, 3]])
+        assert np.all(weights[0, :2] > 0) and np.all(weights[0, 2:] == 0)
+        assert np.all(weights[1, 2:] > 0) and np.all(weights[1, :2] == 0)
+        np.testing.assert_array_equal(got, self.check(p, x, 0.0))
+        assert np.all(np.abs(got - brute_force_score(p, x, 0.0)) <= dropped_bound(p, x, 0.0))
+
+    def test_no_subnormal_weight_near_max_sigma(self):
+        # at sigma^2 = 1e306 component 0 (variance 1) has r / v ~ 6e-307, and
+        # components 1-3 (variance 2e307) ~ 7e-309: far above u/K of the row's
+        # sum (~2e-323) and responsibilities r ~ 0.13 > u/K, yet subnormal, so
+        # the tiny floor drops them
+        sigma = 1e153
+        assert sigma < MAX_SIGMA
+        p = MixturePrior(
+            np.full(4, 0.25), np.array([[1.0], [2.0], [-1.0], [3.0]]),
+            np.array([1.0, 2e307, 2e307, 2e307]),
+        )
+        x = np.array([[0.5], [-0.5]])
+        v = p.variances + sigma**2
+        rv = np.exp(p._component_logliks(x, sigma))
+        rv = rv / rv.sum(axis=-1, keepdims=True) / v
+        assert np.all(rv[:, 0] >= TINY)
+        assert np.all((rv[:, 1:] < TINY) & (rv[:, 1:] > U / 4 * rv.sum(axis=-1, keepdims=True)))
+        got, (weights, rows) = second_pass(p, x, sigma)
+        np.testing.assert_array_equal(rows, p.means[[0]])
+        assert np.all(weights >= TINY)
+        assert np.all(np.abs(got - brute_force_score(p, x, sigma)) <= dropped_bound(p, x, sigma))
+        # at sigma^2 = 2e307 a uniform KDE has every weight near 1 / (K
+        # sigma^2), all subnormal: the product reads nothing and the score,
+        # below K tiny max|x - mu|, reads 0
+        sigma = np.sqrt(2e307)
+        p = kde_prior_from_exemplars(np.array([[1.0], [2.0], [-1.0]]), bandwidth=1.0)
+        got, (weights, rows) = second_pass(p, x, sigma)
+        assert weights.size == 0 and rows.shape == (0, 1)
+        np.testing.assert_array_equal(got, 0.0)
+        assert np.all(np.abs(got - brute_force_score(p, x, sigma)) <= dropped_bound(p, x, sigma))
+
+    @given(
+        k=st.integers(1, 8),
+        d=st.integers(1, 8),
+        batch=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        sigma=st.one_of(st.sampled_from([0.0, 1e-3]), st.floats(0.0, 10.0)),
+        spread=st.floats(0.1, 30.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_within_the_stated_bound_property(self, k, d, batch, sigma, spread, seed):
+        # Beyond the dropped terms, the two products round: each element sums
+        # K terms r_k mu_k / v_k and subtracts x S, so allow K + 2 roundings of
+        # S (|x| + |mu|). dense_score shares the first pass, so that is the
+        # whole gap to it; the brute force also skips the first pass's
+        # |x|^2 - 2 x.mu + |mu|^2 cancellation, given 1e-8 of the same scale.
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 1.0, k)
+        p = MixturePrior(w / w.sum(), spread * rng.normal(size=(k, d)), rng.uniform(0.3, 2.0, k))
+        x = spread * rng.normal(size=batch + (d,))
+        got = mixture_score(p, x, sigma)
+        bound = dropped_bound(p, x, sigma)
+        s, _ = row_scales(p, x, sigma)
+        size = s * (np.max(np.abs(x), axis=-1, keepdims=True) + np.max(np.abs(p.means)))
+        assert np.all(np.abs(got - dense_score(p, x, sigma)) <= bound + (k + 2) * U * size)
+        assert np.all(np.abs(got - brute_force_score(p, x, sigma)) <= bound + 1e-8 * size)
 
     def test_all_live_fallback(self):
         rng = np.random.default_rng(23)
