@@ -12,6 +12,7 @@ from .core_signal import (
 from .errors import (
     ConfigurationError,
     DomainError,
+    InputError,
     NumericalDivergenceError,
     ParseError,
     ShapeError,

@@ -22,11 +22,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core_signal import MixtureProblem, Waveform, mix
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 from .metrics import evaluate, identity_switch_rate
 from .nmf import separate_nmf
 from .pipeline import Mode, SegmentPlan, Selection, SeparationConfig, plan_segments, separate
-from .posterior_sampler import Integrator
 from .schedule import NoiseSchedule, make_grid
 from .score_models import kde_prior_from_exemplars
 from .synth_bench import (
@@ -149,7 +148,6 @@ def run_mode(
         mode=mode,
         plan=plan,
         grid=make_grid(DEFAULT_SCHEDULE, steps),
-        integrator=Integrator.HEUN,
         seed=seed,
         best_of_k=best_of_k,
         selection=Selection.ORACLE_SI_SDR,
@@ -282,8 +280,7 @@ def sweep(spec: SweepSpec, workers: int = 1) -> dict:
     """
     if not spec.modes or not spec.overlaps or not spec.seeds:
         raise ConfigurationError("sweep grid must be nonempty")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    check_integer("workers", workers, 1)
     for name in ("modes", "overlaps", "seeds"):
         values = list(getattr(spec, name))
         for i, value in enumerate(values):

@@ -2,8 +2,8 @@
 
 `sweep` also reads its arguments from `@file` (one argument per line); later
 arguments override earlier ones. Exit codes: 0 success; 2 for an input error,
-which is the library's ConfigurationError, ParseError, ShapeError or
-DomainError; 3 for any other error while running, or a failed sweep row.
+any of the library's InputError types; 3 for any other error while running, or
+a failed sweep row.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bench
 from .core_signal import MixtureProblem, read_wav, write_wav
-from .errors import ConfigurationError, DomainError, ParseError, ShapeError
+from .errors import ConfigurationError, InputError
 from .metrics import evaluate
 from .nmf import separate_nmf
 from .pipeline import Mode, Selection, SeparationConfig, plan_segments, separate
@@ -304,7 +304,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ConfigurationError, ParseError, ShapeError, DomainError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:

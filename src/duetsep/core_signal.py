@@ -14,7 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ShapeError, UnsupportedFormatError
+from .errors import (
+    ConfigurationError, ParseError, ShapeError, UnsupportedFormatError, check_integer
+)
 
 __all__ = [
     "Waveform",
@@ -38,8 +40,7 @@ class Waveform:
             raise ShapeError(f"waveform must be 1-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ShapeError("waveform contains NaN or Inf")
-        if self.sample_rate <= 0:
-            raise ConfigurationError(f"sample_rate must be positive, got {self.sample_rate}")
+        check_integer("sample_rate", self.sample_rate, 1)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
@@ -58,8 +59,7 @@ class MixtureProblem:
     def __post_init__(self):
         if len(self.mixture) == 0:
             raise ShapeError("mixture must be nonempty")
-        if self.sources < 2:
-            raise ConfigurationError("separation problems need at least 2 sources")
+        check_integer("sources", self.sources, 2)
 
 
 def mix(sources: Sequence[Waveform]) -> Waveform:

@@ -1,19 +1,25 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one rule for integer parameters."""
+
+import numbers
 
 
-class ShapeError(ValueError):
+class InputError(ValueError):
+    """The base of every input error: the command line exits 2 on any of them."""
+
+
+class ShapeError(InputError):
     """Array lengths, sample rates, or counts do not line up."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(InputError):
     """A parameter combination is invalid (bad segment plan, empty prior, ...)."""
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """A file could not be decoded."""
 
 
@@ -38,3 +44,9 @@ class NumericalDivergenceError(RuntimeError):
     def __str__(self) -> str:
         where = "" if self.segment is None else f" of segment {self.segment}"
         return f"non-finite state at integrator step {self.step}{where}, sigma {self.sigma:.6g}"
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ConfigurationError unless value is an int or numpy integer, not a bool, >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")

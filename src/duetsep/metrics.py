@@ -10,7 +10,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core_signal import Waveform
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_integer
 
 __all__ = [
     "SDR_CAP_DB",
@@ -185,8 +185,7 @@ def envelope_features(samples, frame: int) -> np.ndarray:
     or whether a particular band happens to hold a partial.
     """
     x = _as_samples(samples)
-    if frame < 1:
-        raise DomainError("frame must be positive")
+    check_integer("frame", frame, 1)
     n_frames = len(x) // frame
     if n_frames < 1:
         raise DomainError("signal shorter than one frame")

@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core_signal import MixtureProblem, Waveform
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, check_integer
 
 __all__ = [
     "EPS",
@@ -41,9 +41,11 @@ class Spectrogram:
 
 
 def _check_cola(frame_size: int, hop_size: int) -> None:
-    if frame_size & (frame_size - 1) != 0 or frame_size < 2:
+    check_integer("frame_size", frame_size, 2)
+    check_integer("hop_size", hop_size, 1)
+    if frame_size & (frame_size - 1) != 0:
         raise ConfigurationError("frame_size must be a power of two")
-    if not (1 <= hop_size <= frame_size // 2):
+    if hop_size > frame_size // 2:
         raise ConfigurationError("hop_size must satisfy hop <= frame_size / 2")
 
 
@@ -117,10 +119,9 @@ def nmf_fit(
     V = np.asarray(V, dtype=np.float64)
     if np.any(V < 0):
         raise DomainError("V must be nonnegative")
-    if rank < 1:
-        raise ConfigurationError("rank must be >= 1")
-    if iterations < 0:
-        raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
+    check_integer("rank", rank, 1)
+    check_integer("iterations", iterations, 0)
+    check_integer("seed", seed, 0)
     bins, frames = V.shape
     rng = np.random.default_rng(seed)
     W = (
@@ -165,6 +166,8 @@ def pitch_candidates(
     which cancels the subharmonic and common-period peaks that otherwise
     mask the weaker of two simultaneous voices.
     """
+    check_integer("frame_size", frame_size, 2)
+    check_integer("hop_size", hop_size, 1)
     sr = waveform.sample_rate
     if not (0 < fmin < fmax <= sr / 2):
         raise ConfigurationError("need 0 < fmin < fmax <= Nyquist")
@@ -293,12 +296,8 @@ def separate_nmf(
 ) -> NmfSeparation:
     """Pitch-informed KL-NMF separation with Wiener-mask reconstruction: one
     output per source of the problem."""
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    if components_per_source < 1:
-        raise ConfigurationError(
-            f"components_per_source must be >= 1, got {components_per_source}"
-        )
+    check_integer("seed", seed, 0)
+    check_integer("components_per_source", components_per_source, 1)
     mix = problem.mixture
     n_sources = problem.sources
     spec = stft(mix, frame_size, hop_size)

@@ -11,7 +11,6 @@ Modes:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
@@ -19,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core_signal import MixtureProblem, Waveform
-from .errors import ConfigurationError, NumericalDivergenceError, ShapeError
+from .errors import ConfigurationError, NumericalDivergenceError, ShapeError, check_integer
 from .metrics import best_assignment, si_sdr
 from .posterior_sampler import (
     InpaintCondition,
@@ -77,9 +76,8 @@ def plan_segments(signal_length: int, segment_length: int, overlap_ratio: float)
     hop = round(L * (1 - r)), which must be at least 1; the input is
     zero-padded so the last segment lines up with the hop grid.
     """
-    for name, value in (("segment_length", segment_length), ("signal_length", signal_length)):
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+    check_integer("segment_length", segment_length, 1)
+    check_integer("signal_length", signal_length, 1)
     if not (0.0 <= overlap_ratio < 1.0):
         raise ConfigurationError(f"overlap_ratio must lie in [0, 1), got {overlap_ratio}")
     hop = round(segment_length * (1.0 - overlap_ratio))
@@ -110,13 +108,8 @@ class SeparationConfig:
     selection: Selection = Selection.ORACLE_SI_SDR
 
     def __post_init__(self):
-        for name, value in (("best_of_k", self.best_of_k), ("seed", self.seed)):
-            if not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.best_of_k < 1:
-            raise ConfigurationError("best_of_k must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        check_integer("best_of_k", self.best_of_k, 1)
+        check_integer("seed", self.seed, 0)
 
     def model_plan(self, signal_length: int) -> SegmentPlan:
         """The pieces the score models see on a signal of this length: every

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core_signal import MixtureProblem
-from .errors import ConfigurationError, NumericalDivergenceError, ShapeError
+from .errors import ConfigurationError, NumericalDivergenceError, ShapeError, check_integer
 from .schedule import TimeGrid
 from .score_models import ScoreModel
 
@@ -44,6 +44,9 @@ class SamplerConfig:
     grid: TimeGrid
     integrator: Integrator = Integrator.HEUN
     seed: int = 0
+
+    def __post_init__(self):
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

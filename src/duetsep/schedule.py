@@ -6,12 +6,11 @@ geometrically between sigma_min at t = 0 and sigma_max at t = 1.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 
 __all__ = ["NoiseSchedule", "TimeGrid", "make_grid"]
 
@@ -56,8 +55,7 @@ class TimeGrid:
 def make_grid(schedule: NoiseSchedule, steps: int) -> TimeGrid:
     """Uniform time grid from t = 1 down to t = 0 (steps + 1 nodes), with
     sigma(t) = sigma_min^(1-t) * sigma_max^t at each node."""
-    if not isinstance(steps, numbers.Integral) or steps < 1:
-        raise ConfigurationError(f"steps must be an integer >= 1, got {steps!r}")
+    check_integer("steps", steps, 1)
     times = np.linspace(1.0, 0.0, steps + 1)
     sigmas = schedule.sigma_min ** (1.0 - times) * schedule.sigma_max**times
     # pin the endpoints exactly

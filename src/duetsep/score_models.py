@@ -15,7 +15,7 @@ from typing import Protocol, Sequence, Tuple
 import numpy as np
 
 from .core_signal import read_wav
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, check_integer
 from .schedule import MAX_SIGMA
 
 __all__ = [
@@ -35,6 +35,20 @@ __all__ = [
 # would fall below tiny
 _ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
+# 2 pi v is finite for every v below this
+_SAFE_VARIANCE = np.finfo(np.float64).max / 8
+
+
+def _log_2pi(v: np.ndarray) -> np.ndarray:
+    """log(2 pi v) for finite v > 0, an array or a numpy scalar. Where 2 pi v
+    overflows, which sigma near MAX_SIGMA reaches, it is log v + log 2 pi;
+    elsewhere it keeps the bits of log(2 pi v). The first branch keeps the common
+    case, run once per new sigma, to one product and one log."""
+    if v.max() < _SAFE_VARIANCE:
+        return np.log(2 * np.pi * v)
+    with np.errstate(over="ignore"):
+        two_pi_v = 2 * np.pi * v
+    return np.where(two_pi_v < np.inf, np.log(two_pi_v), np.log(v) + np.log(2 * np.pi))
 
 
 def _check_sigma(sigma: float) -> None:
@@ -91,7 +105,7 @@ class GaussianPrior:
         v = self.variance + sigma**2
         d = x.size
         resid = x - self.mean
-        return float(-0.5 * d * np.log(2 * np.pi * v) - 0.5 * np.dot(resid, resid) / v)
+        return float(-0.5 * d * _log_2pi(np.float64(v)) - 0.5 * np.dot(resid, resid) / v)
 
 
 @dataclass(frozen=True)
@@ -160,7 +174,7 @@ class MixturePrior:
         cached_sigma, v, const, floor = self._sigma_cache
         if cached_sigma != sigma:
             v = self.variances + sigma**2
-            const = self._log_weights - 0.5 * self.means.shape[1] * np.log(2 * np.pi * v)
+            const = self._log_weights - 0.5 * self.means.shape[1] * _log_2pi(v)
             floor = np.maximum(_ROUNDOFF / v.size, 2 * _TINY * v)
             v.flags.writeable = const.flags.writeable = floor.flags.writeable = False
             object.__setattr__(self, "_sigma_cache", (sigma, v, const, floor))
@@ -303,7 +317,8 @@ class TiledScoreModel:
     """
 
     def __init__(self, base: ScoreModel, length: int):
-        if length < 1 or length % base.native_length != 0:
+        check_integer("length", length, 1)
+        if length % base.native_length != 0:
             raise ShapeError(f"span {length} is no positive multiple of {base.native_length}")
         self.base = base
         self.native_length = length

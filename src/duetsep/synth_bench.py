@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core_signal import Waveform
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, check_integer
 from .metrics import envelope_features
 
 __all__ = [
@@ -117,8 +117,8 @@ def render_voice(
     seed: int = 0,
 ) -> Waveform:
     """Additive harmonic synthesis of one voice, peak-normalized to 0.5."""
-    if sample_rate < 1:
-        raise ConfigurationError(f"sample_rate must be positive, got {sample_rate}")
+    check_integer("sample_rate", sample_rate, 1)
+    check_integer("seed", seed, 0)
     if duration <= 0:
         raise DomainError("duration must be positive")
     if not duration * sample_rate < np.iinfo(np.intp).max:  # inf fails too
@@ -188,8 +188,7 @@ def make_scenario(kind: ScenarioKind, duration: float, seed: int = 0) -> DuetSce
         raise ConfigurationError(
             f"scenario duration must be finite and at least 2 s, got {duration}"
         )
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if kind is ScenarioKind.CROSSING:
         # one contour descends across the other's ascent at least once
@@ -224,12 +223,11 @@ def build_exemplar_bank(
     """Render varied phrases per singer at BENCH_RATE and slice them into
     RMS-normalized exemplars of segment_length samples. Returns
     (count, segment_length)."""
-    if count_per_singer < 1:
-        raise ConfigurationError("count_per_singer must be >= 1")
+    check_integer("segment_length", segment_length, 1)
+    check_integer("count_per_singer", count_per_singer, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     phrase_dur = max(2.0, 1.5 * segment_length / BENCH_RATE)
-    if segment_length > int(phrase_dur * BENCH_RATE):
-        raise ConfigurationError("segment_length longer than rendered phrases")
     bank = []
     for spec in specs:
         for _ in range(count_per_singer):
@@ -249,6 +247,7 @@ def identity_prototypes(
 ) -> List[np.ndarray]:
     """Per-singer spectral-envelope centroids at BENCH_RATE for the switch-rate
     diagnostic."""
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     protos = []
     for spec in specs:

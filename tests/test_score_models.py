@@ -23,12 +23,14 @@ TINY = np.finfo(np.float64).tiny
 
 
 def brute_force_score(prior, x, sigma):
-    """Reference score from the (..., K, d) difference tensor and logsumexp."""
+    """Reference score from the (..., K, d) difference tensor and logsumexp.
+    Its normaliser, log 2 pi + log v, stays finite for every sigma below
+    MAX_SIGMA."""
     v = prior.variances + sigma**2
     diff = x[..., None, :] - prior.means  # (..., K, d)
     ll = (
         np.log(prior.weights)
-        - 0.5 * prior.means.shape[1] * np.log(2 * np.pi * v)
+        - 0.5 * prior.means.shape[1] * (np.log(2 * np.pi) + np.log(v))
         - 0.5 * np.sum(diff * diff, axis=-1) / v
     )
     resp = np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))
@@ -138,6 +140,13 @@ class TestGaussianScore:
                 with pytest.raises(DomainError):
                     call(np.zeros(3), sigma)
                     pytest.fail(f"{name} accepted sigma = {sigma!r}")
+
+    def test_log_density_finite_near_max_sigma(self):
+        # 2 pi v overflows above sigma ~5.35e153, below MAX_SIGMA
+        sigma = 0.9 * MAX_SIGMA
+        v = 1.0 + sigma**2
+        got = GaussianPrior(np.zeros(1)).log_density(np.array([0.5]), sigma)
+        assert got == -0.5 * (np.log(2 * np.pi) + np.log(v)) - 0.5 * 0.25 / v
 
     @pytest.mark.parametrize("length", [1, 3])
     @pytest.mark.parametrize(
@@ -429,6 +438,16 @@ class TestSparseSecondPass:
         assert weights.size == 0 and rows.shape == (0, 1)
         np.testing.assert_array_equal(got, 0.0)
         assert np.all(np.abs(got - brute_force_score(p, x, sigma)) <= dropped_bound(p, x, sigma))
+
+    def test_log_normaliser_finite_near_max_sigma(self):
+        # 2 pi (v + sigma^2) overflows above sigma ~5.35e153, below MAX_SIGMA
+        sigma = 0.9 * MAX_SIGMA
+        p = kde_prior_from_exemplars(np.array([[1.0], [2.0], [-1.0]]), bandwidth=1.0)
+        x = np.array([[0.5]])
+        got = mixture_score(p, x, sigma)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - brute_force_score(p, x, sigma)) <= dropped_bound(p, x, sigma))
+        assert np.isfinite(p.log_density(x[0], sigma))
 
     @given(
         k=st.integers(1, 8),
