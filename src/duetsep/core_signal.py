@@ -1,9 +1,9 @@
 """Waveform container, mixture problem, and mono WAV I/O.
 
 All audio is mono, double precision internally. WAV files are read as 16-bit
-or 32-bit PCM or as IEEE float and written as 32-bit IEEE float, at any rate:
-nothing here depends on it (the benchmark and the command-line defaults use
-8 kHz).
+or 32-bit PCM or as IEEE float and written as 32-bit IEEE float, at any rate
+the header can hold (below 2^30 for writing): nothing else here depends on it
+(the benchmark and the command-line defaults use 8 kHz).
 """
 
 from __future__ import annotations
@@ -109,8 +109,18 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, int(rate))
 
 
+# a float32 WAV header stores the byte rate, rate x 4, in 32 bits
+_MAX_WAV_RATE = (2**32 - 1) // 4
+
+
 def write_wav(path, waveform: Waveform) -> None:
-    """Write a Waveform as mono 32-bit float WAV."""
+    """Write a Waveform as mono 32-bit float WAV; the rate is checked before
+    the file is opened, so a rate the header cannot hold leaves no file."""
     from scipy.io import wavfile
 
+    if waveform.sample_rate > _MAX_WAV_RATE:
+        raise ConfigurationError(
+            f"sample_rate {waveform.sample_rate} exceeds {_MAX_WAV_RATE}: a float32 WAV"
+            " stores the byte rate, sample_rate x 4, in a 32-bit field"
+        )
     wavfile.write(os.fspath(path), waveform.sample_rate, waveform.samples.astype(np.float32))

@@ -54,19 +54,25 @@ class InpaintCondition:
     """Clamp `values` onto the masked positions (plus matched noise) after each step.
 
     The values may be the previous segment's estimate (ar) or the reference
-    (ar-tf, teacher forcing); the clamp treats both alike.
+    (ar-tf, teacher forcing); the clamp treats both alike. The mask and values
+    are copied and kept read-only, with the masked values and their count
+    taken once here, so the clamp's cache never goes stale.
     """
 
     mask: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
-        values = np.asarray(self.values, dtype=np.float64)
+        mask = np.array(self.mask, dtype=bool)
+        values = np.array(self.values, dtype=np.float64)
         if mask.shape != values.shape:
             raise ShapeError("mask and values must share shape")
+        masked = values[mask]
+        for arr in (mask, values, masked):
+            arr.flags.writeable = False
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_masked_values", masked)
 
 
 def apply_inpaint(
@@ -80,9 +86,12 @@ def apply_inpaint(
     if condition.mask.shape != state.shape:
         raise ShapeError("condition does not match state length")
     out = state.copy()
-    m = condition.mask
-    noise = rng.standard_normal(int(m.sum())) if sigma > 0 else 0.0
-    out[m] = condition.values[m] + sigma * noise
+    clamped = condition._masked_values
+    if sigma > 0:
+        clamped = rng.standard_normal(clamped.size)
+        clamped *= sigma
+        clamped += condition._masked_values
+    out[condition.mask] = clamped
     return out
 
 
@@ -99,14 +108,22 @@ def _integrate(
 ) -> np.ndarray:
     """Heun-step dx/dsigma = velocity(x, sigma) down config.grid's sigmas.
 
-    `after_step(x, sigma)`, when given, maps each new state to the one kept.
+    `velocity` returns a fresh array, which the step overwrites. Each step is
+    x + h/2 (d0 + d1), with d1 taken at the Euler predictor x + h d0, formed
+    in place in that operand order. `after_step(x, sigma)`, when given, maps
+    each new state to the one kept.
     """
     sig = config.grid.sigmas
+    predictor = np.empty_like(x)
     for k in range(config.grid.steps):
         s0, s1 = sig[k], sig[k + 1]
         d0 = velocity(x, s0)
-        d1 = velocity(x + (s1 - s0) * d0, s1)
-        x = x + (s1 - s0) * 0.5 * (d0 + d1)
+        np.multiply(s1 - s0, d0, out=predictor)
+        predictor += x
+        d1 = velocity(predictor, s1)
+        d1 += d0
+        d1 *= (s1 - s0) * 0.5
+        x = np.add(x, d1, out=d1)
         _check_finite(x, k, s1)
         if after_step is not None:
             x = after_step(x, s1)
@@ -120,6 +137,18 @@ def sample_prior(model: ScoreModel, config: SamplerConfig) -> np.ndarray:
     rng = np.random.default_rng(config.seed)
     x = rng.standard_normal(model.native_length) * config.grid.sigmas[0]
     return _integrate(x, lambda x, s: -s * model.score(x, s), config)
+
+
+def _posterior_score(
+    models: Sequence[ScoreModel], states: np.ndarray, mixture: np.ndarray, sigma: float
+) -> np.ndarray:
+    """posterior_score for checked inputs: states an (N-1, L) float64 array."""
+    residual = mixture - states[0] if len(states) == 1 else mixture - np.sum(states, axis=0)
+    constrained = models[0].score(residual, sigma)
+    out = np.empty_like(states)
+    for i in range(len(states)):
+        np.subtract(models[i + 1].score(states[i], sigma), constrained, out=out[i])
+    return out
 
 
 def posterior_score(
@@ -144,12 +173,7 @@ def posterior_score(
     mixture = np.asarray(mixture, dtype=np.float64)
     if any(np.shape(s) != mixture.shape for s in states):
         raise ShapeError("states must share the mixture's shape")
-    states = np.asarray(states, dtype=np.float64)
-    constrained = models[0].score(mixture - np.sum(states, axis=0), sigma)
-    out = np.empty_like(states)
-    for i in range(n - 1):
-        np.subtract(models[i + 1].score(states[i], sigma), constrained, out=out[i])
-    return out
+    return _posterior_score(models, np.asarray(states, dtype=np.float64), mixture, sigma)
 
 
 def sample_posterior(
@@ -165,6 +189,7 @@ def sample_posterior(
     sources, so the rows always sum exactly to the mixture. `conditions`, when
     given, holds one InpaintCondition per free source (s_2..s_N), stacked into
     one (N-1, L) clamp applied with matched noise after every integrator step.
+    The inputs are checked once here, not at every step.
     """
     n = len(models)
     if n != problem.sources:
@@ -197,10 +222,11 @@ def sample_posterior(
             return apply_inpaint(states, stacked, sigma, rng)
 
         states = clamp(states, sigma_max)
-    states = _integrate(
-        states,
-        lambda x, s: -s * posterior_score(models, x, mixture, s),
-        config,
-        clamp,
-    )
+
+    def velocity(x: np.ndarray, sigma: float) -> np.ndarray:
+        g = _posterior_score(models, x, mixture, sigma)
+        g *= -sigma
+        return g
+
+    states = _integrate(states, velocity, config, clamp)
     return np.concatenate([[mixture - np.sum(states, axis=0)], states])

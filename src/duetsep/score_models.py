@@ -180,28 +180,35 @@ class MixturePrior:
             object.__setattr__(self, "_sigma_cache", (sigma, v, const, floor))
         return v, const, floor
 
-    def _component_logliks(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        """log w_k + log N(x; mu_k, (v_k + sigma^2) I), x shaped (..., d).
+    def _component_logliks(
+        self, x: np.ndarray, sigma: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ll, v, floor): ll = log w_k + log N(x; mu_k, (v_k + sigma^2) I) for x
+        shaped (..., d), and the sigma terms v and floor it read.
 
         Squared distances expand as |x|^2 - 2 x.mu + |mu|^2 so the heavy part
-        is a single matmul rather than a (K, d) difference tensor. Returns a
+        is a single matmul rather than a (K, d) difference tensor. ll is a
         fresh array that the caller may overwrite.
         """
-        v, const, _ = self._sigma_terms(sigma)
+        v, const, floor = self._sigma_terms(sigma)
         x_sq = np.einsum("...d,...d->...", x, x)  # (...,)
         # (..., K), reused in place below. The bank goes on the left: with the
         # OpenBLAS 0.3.31 of numpy's wheel, means @ rows.T ran faster than
         # rows @ means.T for a few rows against a wide bank
-        rows = x.reshape(-1, x.shape[-1])
-        ll = np.ascontiguousarray((self.means @ rows.T).T)
-        ll = ll.reshape(x.shape[:-1] + (self.means.shape[0],))
+        if x.ndim == 1:
+            ll = self.means @ x
+        else:
+            rows = x.reshape(-1, x.shape[-1])
+            ll = np.ascontiguousarray((self.means @ rows.T).T)
+            ll = ll.reshape(x.shape[:-1] + (self.means.shape[0],))
+            x_sq = x_sq[..., None]
         ll *= -2.0
-        ll += x_sq[..., None]
+        ll += x_sq
         ll += self._means_sq
         np.maximum(ll, 0.0, out=ll)
         ll *= 0.5
         ll /= v
-        return np.subtract(const, ll, out=ll)
+        return np.subtract(const, ll, out=ll), v, floor
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         return mixture_score(self, x, sigma)
@@ -211,7 +218,7 @@ class MixturePrior:
         _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
         _check_length(x, self.native_length, batch=False)
-        ll = self._component_logliks(x, sigma)
+        ll, _, _ = self._component_logliks(x, sigma)
         top = _exp_shifted(ll)
         return float(top[0] + np.log(ll.sum()))
 
@@ -233,7 +240,8 @@ def mixture_score(prior: MixturePrior, x: np.ndarray, sigma: float) -> np.ndarra
 
     Accepts x of shape (d,) or a batch (..., d); the score is computed
     independently per row. The first pass puts the bank on the left
-    (means @ rows.T, over the rows flattened to (n, d)). The second pass reads
+    (means @ x, or means @ rows.T over the rows flattened to (n, d)). The
+    sigma terms are looked up once per call. The second pass reads
     only the components that carry mass: a responsibility r_k below u/K
     (u = 2^-53, the unit roundoff) counts as zero, and so does one whose
     weight r_k / v_k would be below the smallest normal double, tiny, so no
@@ -243,13 +251,14 @@ def mixture_score(prior: MixturePrior, x: np.ndarray, sigma: float) -> np.ndarra
     (u * mean_k(1 / v_k) + 2 K tiny) * max_k |x - mu_k| per element. For a
     KDE (one variance v) the first term is u / v = u * sum_k r_k / v_k: one
     rounding of the second pass; the tiny term matters only for sigma near
-    MAX_SIGMA.
+    MAX_SIGMA. A 1-D call whose one live component is j returns
+    mu_j w_j - x w_j, the bits of the gathered product; a 1-D call and the
+    same row scored as a (1, d) batch agree bit for bit.
     """
     _check_sigma(sigma)
     x = np.asarray(x, dtype=np.float64)
     _check_length(x, prior.means.shape[1])
-    rv = prior._component_logliks(x, sigma)  # (..., K), turned into r_k / v_k
-    v, _, floor = prior._sigma_terms(sigma)
+    rv, v, floor = prior._component_logliks(x, sigma)  # (..., K), turned into r_k / v_k
     _exp_shifted(rv)
     rv /= rv.sum(axis=-1, keepdims=True)
     # score = -sum_k r_k (x - mu_k) / v_k, without forming the (K, d) tensor.
@@ -261,7 +270,18 @@ def mixture_score(prior: MixturePrior, x: np.ndarray, sigma: float) -> np.ndarra
     rv[rv < floor] = 0.0
     rv /= v
     k = rv.shape[-1]
-    live = np.flatnonzero(rv if rv.ndim == 1 else rv.reshape(-1, k).sum(axis=0))
+    if rv.ndim == 1:
+        live = rv.nonzero()[0]
+        if live.size == 1:
+            # the gathered product below makes one product per element here,
+            # and the weight sum is that one weight: the same bits, without
+            # the gather or a call into BLAS
+            w = rv[live[0]]
+            out = prior.means[live[0]] * w
+            out -= x * w
+            return out
+    else:
+        live = np.flatnonzero(rv.reshape(-1, k).sum(axis=0))
     if 3 * live.size > k:
         # gathering m live rows reads and writes them before the product
         # reads them again, 3m rows of traffic against K for the dense

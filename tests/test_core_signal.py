@@ -94,6 +94,22 @@ class TestWavIO:
         assert back.sample_rate == 24000
         assert np.max(np.abs(back.samples - w.samples)) == 0.0
 
+    def test_rate_beyond_the_byte_rate_field_is_an_input_error(self, tmp_path):
+        # the header's byte rate, rate x 4, must fit in 32 bits
+        path = tmp_path / "fast.wav"
+        w = Waveform(np.linspace(-0.5, 0.5, 16), 2**30)
+        with pytest.raises(ConfigurationError, match="32-bit"):
+            write_wav(path, w)
+        assert not path.exists()
+
+    def test_largest_rate_roundtrips(self, tmp_path):
+        path = tmp_path / "fastest.wav"
+        w = Waveform(np.linspace(-0.5, 0.5, 16).astype(np.float32), 2**30 - 1)
+        write_wav(path, w)
+        back = read_wav(path)
+        assert back.sample_rate == 2**30 - 1
+        np.testing.assert_array_equal(back.samples, w.samples)
+
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "bad.wav"
         p.write_bytes(b"RIFF\x10\x00\x00\x00WAV")

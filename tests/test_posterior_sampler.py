@@ -2,6 +2,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duetsep import (
     GaussianPrior,
@@ -14,6 +16,7 @@ from duetsep import (
     SeparationConfig,
     Waveform,
     apply_inpaint,
+    kde_prior_from_exemplars,
     make_grid,
     plan_segments,
     posterior_score,
@@ -34,6 +37,33 @@ def config(steps=50, seed=0, smin=0.01, smax=10.0):
 
 def problem_for(mixture, n_sources=2):
     return MixtureProblem(Waveform(mixture, 8000), n_sources)
+
+
+def written_out_sampler(models, mixture, cfg, conditions=None):
+    """sample_posterior in its plain expression forms: the residual over a sum
+    of the free rows, x + h d0 and x + h 0.5 (d0 + d1), and each row clamped in
+    turn to values[m] + sigma eps from the one generator."""
+    draw = np.random.default_rng(cfg.seed)
+    sig = cfg.grid.sigmas
+    x = draw.standard_normal((len(models) - 1, len(mixture))) * sig[0]
+
+    def clamp(x, sigma):
+        for i, c in enumerate(conditions or []):
+            m = c.mask
+            x[i, m] = c.values[m] + sigma * draw.standard_normal(int(m.sum()))
+
+    def velocity(x, sigma):
+        constrained = models[0].score(mixture - np.sum(x, axis=0), sigma)
+        grad = np.stack([models[i + 1].score(x[i], sigma) - constrained for i in range(len(x))])
+        return -sigma * grad
+
+    clamp(x, sig[0])
+    for s0, s1 in zip(sig[:-1], sig[1:]):
+        d0 = velocity(x, s0)
+        d1 = velocity(x + (s1 - s0) * d0, s1)
+        x = x + (s1 - s0) * 0.5 * (d0 + d1)
+        clamp(x, s1)
+    return np.concatenate([[mixture - np.sum(x, axis=0)], x])
 
 
 class Exploding:
@@ -209,6 +239,24 @@ class TestApplyInpaint:
         with pytest.raises(ShapeError):
             apply_inpaint(np.zeros(5), cond, 0.1, np.random.default_rng(0))
 
+    def test_condition_is_read_only(self):
+        cond = InpaintCondition(np.ones(4, bool), np.zeros(4))
+        with pytest.raises(ValueError):
+            cond.values[0] = 1.0
+        with pytest.raises(ValueError):
+            cond.mask[0] = False
+
+    def test_condition_copies_the_callers_arrays(self):
+        mask = np.array([1, 0, 1, 1, 0, 0], bool)
+        vals = np.arange(6.0)
+        cond = InpaintCondition(mask, vals)
+        before = apply_inpaint(np.zeros(6), cond, 0.3, np.random.default_rng(1))
+        mask[:] = True
+        vals[:] = -1.0
+        after = apply_inpaint(np.zeros(6), cond, 0.3, np.random.default_rng(1))
+        np.testing.assert_array_equal(after, before)
+        np.testing.assert_array_equal(cond.values, np.arange(6.0))
+
     def test_condition_shape_validation(self):
         with pytest.raises(ShapeError):
             InpaintCondition(np.ones(4, bool), np.zeros(5))
@@ -340,29 +388,43 @@ class TestSamplePosterior:
             InpaintCondition(rng.random(n) < 0.5, rng.normal(size=n)),
         ]
         cfg = config(steps=12, seed=7, smax=2.0)
-
-        # the sampler written out with one apply_inpaint call per row
-        draw = np.random.default_rng(cfg.seed)
-        sig = cfg.grid.sigmas
-        x = draw.standard_normal((2, n)) * sig[0]
-
-        def clamp(x, sigma):
-            for i, c in enumerate(conditions):
-                x[i] = apply_inpaint(x[i], c, sigma, draw)
-
-        def velocity(x, sigma):
-            return -sigma * posterior_score(models, x, mixture, sigma)
-
-        clamp(x, sig[0])
-        for s0, s1 in zip(sig[:-1], sig[1:]):
-            d0 = velocity(x, s0)
-            d1 = velocity(x + (s1 - s0) * d0, s1)
-            x = x + (s1 - s0) * 0.5 * (d0 + d1)
-            clamp(x, s1)
-        expected = np.concatenate([[mixture - np.sum(x, axis=0)], x])
-
         out = sample_posterior(problem_for(mixture, 3), models, cfg, conditions=conditions)
-        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out, written_out_sampler(models, mixture, cfg, conditions))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        overlap=st.one_of(st.none(), st.integers(0, 48)),
+        k=st.integers(2, 12),
+        smax=st.floats(0.02, 0.2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shared_kde_matches_the_written_out_sampler(self, seed, overlap, k, smax):
+        """The benchmark's shape: two sources under one shared KDE, with or
+        without a prefix clamp. At these sigmas most score calls find one live
+        component, and each makes no np.dot call."""
+        rng = np.random.default_rng(seed)
+        n = 48
+        bank = rng.normal(size=(k, n))
+        prior = kde_prior_from_exemplars(bank, bandwidth=0.05)
+        mixture = bank[0] + bank[-1] + 0.01 * rng.normal(size=n)
+        conditions = None
+        if overlap is not None:
+            conditions = [InpaintCondition(np.arange(n) < overlap, bank[-1])]
+        cfg = config(steps=8, seed=seed % 1000, smin=0.005, smax=smax)
+        dots = []
+        real_dot = np.dot
+
+        def spy(*args, **kwargs):
+            dots.append(None)
+            return real_dot(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "dot", spy)
+            out = sample_posterior(problem_for(mixture), [prior, prior], cfg, conditions)
+        score_calls = cfg.grid.steps * 2 * 2
+        assert len(dots) < score_calls / 2
+        want = written_out_sampler([prior, prior], mixture, cfg, conditions)
+        np.testing.assert_array_equal(out, want)
 
     def test_condition_count_validation(self):
         p = GaussianPrior(mean=np.zeros(4), variance=1.0)

@@ -37,10 +37,15 @@ def brute_force_score(prior, x, sigma):
     return -np.sum((resp / v)[..., None] * diff, axis=-2)
 
 
+def logliks(prior, x, sigma):
+    """The first pass's log-likelihoods, without the sigma terms it read."""
+    return prior._component_logliks(x, sigma)[0]
+
+
 def dense_score(prior, x, sigma):
     """The score with its second pass over every component: rv @ means."""
     v = prior.variances + sigma**2
-    ll = prior._component_logliks(x, sigma)
+    ll = logliks(prior, x, sigma)
     rv = np.exp(ll - ll.max(axis=-1, keepdims=True))
     rv /= rv.sum(axis=-1, keepdims=True)
     rv /= v
@@ -49,7 +54,7 @@ def dense_score(prior, x, sigma):
 
 def live_sets(prior, x, sigma):
     """Per row, the components whose normalised weight is nonzero."""
-    ll = prior._component_logliks(np.atleast_2d(x), sigma)
+    ll = logliks(prior, np.atleast_2d(x), sigma)
     w = np.exp(ll - ll.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     return [set(np.flatnonzero(row)) for row in w]
@@ -237,7 +242,7 @@ class TestMixtureScore:
         nearest = [2, 0, 4]
         x = p.means[nearest] + 0.5 * rng.normal(size=(3, 8))
         for sigma in (0.0, 1e-3):
-            ll = p._component_logliks(x, sigma)
+            ll = logliks(p, x, sigma)
             # exp underflows to 0 for every component but the nearest
             assert np.all(np.max(ll, axis=-1) - np.sort(ll, axis=-1)[:, -2] > 746)
             want = brute_force_score(p, x, sigma)
@@ -337,7 +342,7 @@ class TestSparseSecondPass:
         tiny = np.finfo(np.float64).tiny
         p = self.subnormal_prior(0.0)
         x = np.array([[0.0, 0.5]])
-        ll = p._component_logliks(x, 0.0)[0]
+        ll = logliks(p, x, 0.0)[0]
         w = np.exp(ll - ll.max())
         w /= w.sum()
         assert 0.0 < w[1] < tiny and np.all(w[2:] == 0.0)
@@ -356,7 +361,7 @@ class TestSparseSecondPass:
         # product is below its last bit: zeroing it changes nothing
         p = self.subnormal_prior(1.0)
         x = np.array([[0.75, 1.5]])
-        ll = p._component_logliks(x, 0.0)[0]
+        ll = logliks(p, x, 0.0)[0]
         assert 0.0 < np.exp(ll[1] - ll[0]) < np.finfo(np.float64).tiny
         assert live_sets(p, x, 0.0) == [{0, 1}]
         got = mixture_score(p, x, 0.0)
@@ -375,7 +380,7 @@ class TestSparseSecondPass:
         means[3:, 0] = -np.linspace(10.0, 12.0, k - 3)
         p = MixturePrior(np.full(k, 1.0 / k), means, np.ones(k))
         x = np.zeros((1, 2))
-        w = np.exp(p._component_logliks(x, 0.0)[0])
+        w = np.exp(logliks(p, x, 0.0)[0])
         w /= w.sum()
         np.testing.assert_allclose(w[1:3] * k / U, [1.5, 0.5], rtol=1e-9)
         assert live_sets(p, x, 0.0) == [set(range(k))]
@@ -421,7 +426,7 @@ class TestSparseSecondPass:
         )
         x = np.array([[0.5], [-0.5]])
         v = p.variances + sigma**2
-        rv = np.exp(p._component_logliks(x, sigma))
+        rv = np.exp(logliks(p, x, sigma))
         rv = rv / rv.sum(axis=-1, keepdims=True) / v
         assert np.all(rv[:, 0] >= TINY)
         assert np.all((rv[:, 1:] < TINY) & (rv[:, 1:] > U / 4 * rv.sum(axis=-1, keepdims=True)))
@@ -509,6 +514,64 @@ class TestSparseSecondPass:
                 - 0.5 * np.sum((x - p.means) ** 2, axis=-1) / v
             )
             assert p.log_density(x, sigma) == pytest.approx(logsumexp(ll), rel=1e-12)
+
+
+class TestOneRowPaths:
+    """A 1-D call is scored as row 0 of the same input as a (1, d) batch, bit
+    for bit, on each second pass: one live component (no gather and no np.dot
+    for the 1-D call, a 1-row gather for the batch), a gathered few, or dense."""
+
+    D = 64
+
+    def prior(self, k):
+        # components 0 and 1 sit close together and far from the rest
+        rng = np.random.default_rng(40 + k)
+        means = rng.normal(size=(k, self.D))
+        means[1] = means[0] + 0.05 * rng.normal(size=self.D)
+        return kde_prior_from_exemplars(means, bandwidth=0.05)
+
+    def rows(self, p, x, sigma):
+        """(1-D score, its gather), (batch row 0, its gather)."""
+        one, one_gather = second_pass(p, x, sigma)
+        batch, batch_gather = second_pass(p, x[None], sigma)
+        np.testing.assert_array_equal(one, batch[0])
+        return one_gather, batch_gather
+
+    @pytest.mark.parametrize("k", [26, 32, 5])
+    def test_one_live_component(self, k):
+        p = self.prior(k)
+        x = p.means[3] + 0.01 * np.random.default_rng(k).normal(size=self.D)
+        for sigma in (0.0, 0.005, 0.05):
+            one_gather, batch_gather = self.rows(p, x, sigma)
+            assert one_gather is None
+            np.testing.assert_array_equal(batch_gather[1], p.means[[3]])
+
+    @pytest.mark.parametrize("k", [26, 32])
+    def test_gathered_components(self, k):
+        p = self.prior(k)
+        x = 0.5 * (p.means[0] + p.means[1])
+        one_gather, batch_gather = self.rows(p, x, 0.005)
+        np.testing.assert_array_equal(one_gather[1], p.means[[0, 1]])
+        np.testing.assert_array_equal(batch_gather[1], p.means[[0, 1]])
+
+    @pytest.mark.parametrize("k", [26, 32, 5])
+    def test_dense_second_pass(self, k):
+        p = self.prior(k)
+        x = p.means.mean(axis=0)
+        assert live_sets(p, x, 10.0) == [set(range(k))]
+        assert self.rows(p, x, 10.0) == (None, None)
+
+    @pytest.mark.parametrize("k", [26, 32, 5])
+    def test_agree_across_sigma(self, k):
+        p = self.prior(k)
+        rng = np.random.default_rng(50 + k)
+        for sigma in np.geomspace(0.005, 10.0, 12):
+            for x in (
+                p.means[rng.integers(k)] + 0.01 * rng.normal(size=self.D),
+                rng.normal(size=self.D),
+                0.5 * (p.means[0] + p.means[1]),
+            ):
+                self.rows(p, x, sigma)
 
 
 class TestKdePrior:
